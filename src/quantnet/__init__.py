@@ -8,8 +8,7 @@ the closed-form parameter calculus, independent matrix-form verification
 oracles, and a reproducible experiment harness with a CLI.
 """
 
-from .codec import (DecoderState, EncoderState, NoiseModel, QuantizerSpec,
-                    decode_step, encode_step, quantize, quantize_vec)
+from .codec import NoiseModel, QuantizerSpec, quantize, quantize_vec
 from .graph import (Graph, LaplacianSummary, build_laplacian, generate_graph,
                     sym_eig_extremes)
 from .harness import (CONSTANTS, ExperimentConfig, RunArtifacts,
@@ -34,8 +33,7 @@ __all__ = [
     "sym_eig_extremes",
     "LinearProblem", "ProblemClassification", "StackedOperators",
     "classify", "build_stacked", "theta_n",
-    "QuantizerSpec", "EncoderState", "DecoderState", "NoiseModel",
-    "quantize", "quantize_vec", "encode_step", "decode_step",
+    "QuantizerSpec", "NoiseModel", "quantize", "quantize_vec",
     "ExactConfig", "LSConfig", "GammaSchedule", "Trace", "SaturationError",
     "bound_B", "run_exact", "run_ls", "run_robust", "traces_dynamics_equal",
     "SpectralData", "ExactPlan", "LSPlan", "spectral_data", "kmin_from_m",

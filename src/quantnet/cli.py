@@ -13,15 +13,16 @@ import sys
 import numpy as np
 
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .harness import (builtin_graph, builtin_problem, load_config, reproduce,
-                      run_config, random_problem)
+from .harness import (_solver_config, build_graph, build_problem,
+                      builtin_graph, builtin_problem, load_config,
+                      random_problem, reproduce, run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
 from .planner import (alpha_star, plan_exact, plan_ls, spectral_data,
                       xi_membership, xi_ls_membership)
 from .problem import (LinearProblem, build_stacked, classify, load_problem,
                       theta_n)
-from .solver import GammaSchedule
+from .solver import LSConfig, iter_rounds
 
 
 def _load_named_problem(spec: str) -> LinearProblem:
@@ -108,111 +109,49 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = load_config(args.config)
-    if args.max_rounds is not None:
-        cfg.values["max_rounds"] = args.max_rounds
-    from .harness import build_graph, build_problem
-    p = build_problem(cfg)
-    g = build_graph(cfg)
-    lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
-    cls = classify(p)
     mode = cfg.get("mode")
-    rounds = cfg.get("max_rounds", 300 if mode == "exact" else 2000)
-    h = cfg.get("solver.h")
-    K = cfg.get("solver.K")
-    n, m = p.n_nodes, p.dim
-
-    from .solver import ExactConfig, LSConfig
-    if mode == "exact":
-        c = ExactConfig(h=h, alpha=cfg.get("solver.alpha"),
-                        s0=cfg.get("solver.s0"), K=K, max_rounds=rounds,
-                        stop_tol=0.0 if rounds < 10000 else 1e-12)
-        eops = make_exact_operators(ops, lap, h, cls.solution)
-        # co-simulate: solver trajectory vs compact reconstruction
-        dev = _exact_deviation(p, g, c, eops, rounds)
-    elif mode == "ls":
-        c = LSConfig(h=h, K=K, s_r=cfg.get("solver.s_r"),
-                     gamma=GammaSchedule(cfg.get("gamma.k0"),
-                                         cfg.get("gamma.delta")),
-                     max_rounds=rounds, stop_tol=0.0)
-        dev = _ls_deviation(p, g, c, ops, lap, rounds)
-    else:
+    if mode not in ("exact", "ls"):
         print("oracle-check supports exact and ls modes only",
               file=sys.stderr)
         return 2
+    if args.max_rounds is not None:
+        cfg.values["max_rounds"] = args.max_rounds
+    cfg.values.setdefault("max_rounds", 300 if mode == "exact" else 2000)
+    dev = _oracle_deviation(build_problem(cfg), build_graph(cfg),
+                            _solver_config(cfg, mode))
     print(f"max_relative_deviation = {dev:.6g}")
     tol = args.tol
     print(f"tolerance = {tol:.6g}")
     return 0 if dev <= tol else 1
 
 
-def _exact_deviation(p, g, cfg, eops, rounds) -> float:
-    """Max per-round relative deviation, solver vs compact recursion."""
-    # step the per-node simulation manually to keep every round's state
-    xs = _trajectory_exact(p, g, cfg, rounds)
-    st = compact_exact_init(xs[0].reshape(-1), cfg.s0, eops)
+def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
+    """Largest per-round relative deviation of the solver's own rounds from
+    the matrix-form recursion, both started from the solver's x(0)."""
+    lap = build_laplacian(g)
+    ops = build_stacked(p, lap)
+    ls = isinstance(cfg, LSConfig)
+    if ls:
+        lops = make_ls_operators(ops, lap, p.dim)
+    else:
+        eops = make_exact_operators(ops, lap, cfg.h, classify(p).solution)
     dev = 0.0
-    for k in range(1, len(xs)):
-        st = compact_exact_step(st, cfg.alpha, cfg.h, cfg.K, eops)
-        xr = st.reconstruct_x(cfg.s0 * cfg.alpha ** k, eops)
-        ref = np.abs(xr) + 1.0
-        dev = max(dev, float(np.max(np.abs(xs[k].reshape(-1) - xr) / ref)))
-    return dev
-
-
-def _trajectory_exact(p, g, cfg, rounds):
-    """Per-node exact-mode trajectory [x(0), ..., x(rounds)]."""
-    adj = g.adjacency()
-    deg = adj.sum(axis=1)
-    n, m = p.n_nodes, p.dim
-    x = np.zeros((n, m)) if cfg.x0 is None else np.array(cfg.x0, dtype=float)
-    b = np.zeros((n, m))
-    xhat = np.zeros((n, n, m))
-    mask = adj[:, :, None]
-    out = [x.copy()]
-    for k in range(1, rounds + 1):
-        s_prev = cfg.s0 * cfg.alpha ** (k - 1)
-        hx = np.einsum("ij,ij->i", p.H, x)
-        grad = (hx - p.z)[:, None] * p.H
-        cons = xhat.sum(axis=1) - deg[:, None] * b
-        x = x + cfg.h * (cons - grad)
-        arg = (x - b) / s_prev
-        q = np.sign(arg) * np.minimum(np.maximum(np.ceil(np.abs(arg) - 0.5),
-                                                 0.0), cfg.K)
-        b = s_prev * q + b
-        xhat = ((s_prev * q)[None, :, :] + xhat) * mask
-        out.append(x.copy())
-    return out
-
-
-def _ls_deviation(p, g, cfg, ops, lap, rounds) -> float:
-    adj = g.adjacency()
-    deg = adj.sum(axis=1)
-    n, m = p.n_nodes, p.dim
-    x = np.zeros((n, m)) if cfg.x0 is None else np.array(cfg.x0, dtype=float)
-    b = np.zeros((n, m))
-    xhat = np.zeros((n, n, m))
-    mask = adj[:, :, None]
-    lops = make_ls_operators(ops, lap, m)
-    st = compact_ls_init(x.reshape(-1), cfg.s_r, lops)
-    dev = 0.0
-    for k in range(1, rounds + 1):
-        g_prev = float(cfg.gamma.gamma(k - 1))
-        beta_prev = float(cfg.gamma.beta(k - 1))
-        s_prev = cfg.s_r * g_prev
-        hx = np.einsum("ij,ij->i", p.H, x)
-        grad = (hx - p.z)[:, None] * p.H
-        cons = xhat.sum(axis=1) - deg[:, None] * b
-        x = x + cfg.h * (cons - g_prev * grad)
-        arg = (x - b) / s_prev
-        q = np.sign(arg) * np.minimum(np.maximum(np.ceil(np.abs(arg) - 0.5),
-                                                 0.0), cfg.K)
-        b = s_prev * q + b
-        xhat = ((s_prev * q)[None, :, :] + xhat) * mask
-        st = compact_ls_step(st, cfg.h, cfg.s_r, g_prev, beta_prev, cfg.K,
-                             lops)
-        ref = np.abs(st.x) + 1.0
-        dev = max(dev, float(np.max(np.abs(x.reshape(-1) - st.x) / ref)))
+    for st in iter_rounds(p, g, cfg):
+        k, x = st.k, st.x.reshape(-1)
+        if k == 0:
+            ref_st = (compact_ls_init(x, cfg.s_r, lops) if ls
+                      else compact_exact_init(x, cfg.s0, eops))
+            continue
+        if ls:
+            ref_st = compact_ls_step(ref_st, cfg.h, cfg.s_r,
+                                     float(cfg.gamma.gamma(k - 1)),
+                                     float(cfg.gamma.beta(k - 1)), cfg.K,
+                                     lops)
+            ref = ref_st.x
+        else:
+            ref_st = compact_exact_step(ref_st, cfg.alpha, cfg.h, cfg.K, eops)
+            ref = ref_st.reconstruct_x(cfg.s0 * cfg.alpha ** k, eops)
+        dev = max(dev, float(np.max(np.abs(x - ref) / (np.abs(ref) + 1.0))))
     return dev
 
 
@@ -277,12 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-rate links: simulation and parameter calculus.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--strict-saturation", action="store_true")
-        sp.add_argument("--max-rounds", type=int, default=None)
-
     sp = sub.add_parser("plan", help="compute a feasible parameter plan")
     sp.add_argument("kind", choices=["exact", "ls"])
     sp.add_argument("--K", type=int, required=True)
@@ -295,19 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="problem file, or built-in name ex1/ex4")
     sp.add_argument("--graph", default="fig1",
                     help="graph file, or built-in name fig1")
-    common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_plan)
 
     sp = sub.add_parser("solve", help="run a config file")
     sp.add_argument("config")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--strict-saturation", action="store_true")
+    sp.add_argument("--max-rounds", type=int, default=None)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("oracle-check",
                         help="compare a run against the matrix-form oracle")
     sp.add_argument("config")
     sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp)
+    sp.add_argument("--max-rounds", type=int, default=None)
     sp.set_defaults(func=_cmd_oracle_check)
 
     sp = sub.add_parser("alpha-star",
@@ -317,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", default="cycle")
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--m", type=int, default=5)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_alpha_star)
 
     sp = sub.add_parser("reproduce", help="re-run a published experiment")
     sp.add_argument("example_id",
                     choices=["ex1_thm1", "ex1_thm2", "ex2", "ex3",
                              "ex4_thm3", "ex4_thm4", "robustness"])
-    common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_reproduce)
 
     sp = sub.add_parser("sweep",
@@ -335,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--K", type=int, nargs="+", required=True)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_sweep)
     return ap
 

@@ -1,12 +1,18 @@
-"""Finite-level quantizer and the zooming-in difference encoder/decoder.
+"""Finite-level quantizer and the zooming-in difference codec's settings.
 
-Each node transmits only the quantized, scaled innovation of its state. The
-receiver integrates the same symbols, so in the ideal (noise-free,
-zero-initialized) configuration every neighbor's reconstruction equals the
-sender's own one-step predictor bit for bit.
+Each node transmits only the quantized, scaled innovation of its state:
+with predictor b_j and scale s, node j sends q = Q_K((x_j - b_j) / s) and
+both ends integrate the same symbol, b_j <- s q + b_j at the sender and
+xhat_ij <- s q + xhat_ij at every receiver i. Started from zero and
+without noise, every decoder equals its sender's predictor bit for bit,
+damped or not.
 
-A damped variant with initialization errors and additive round-off noise
-models imperfect digital hardware.
+:func:`quantize_vec` is the one vectorized quantizer: the solver's round
+kernel (``solver.iter_rounds``) and the matrix-form oracle both call it.
+:func:`quantize` is its scalar reference. :class:`NoiseModel` configures
+the damped variant, b <- s q + d b (and likewise xhat), with
+initialization errors and additive round-off noise that model imperfect
+digital hardware.
 """
 
 from __future__ import annotations
@@ -18,15 +24,9 @@ import numpy as np
 
 __all__ = [
     "QuantizerSpec",
-    "EncoderState",
-    "DecoderState",
     "NoiseModel",
     "quantize",
     "quantize_vec",
-    "encode_step",
-    "decode_step",
-    "damped_encode_step",
-    "damped_decode_step",
 ]
 
 
@@ -63,42 +63,20 @@ def quantize(zval: float, K: int) -> int:
 
 
 def quantize_vec(v: np.ndarray, K: int) -> tuple:
-    """Componentwise quantizer. Returns (levels, saturated_flag)."""
+    """Componentwise quantizer. Returns (levels, saturated_flag).
+
+    Raises ``ValueError`` when an input is not finite, which is how a
+    diverging or underflowing run stops.
+    """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("quantizer input must be finite")
     if K < 1:
         raise ValueError("K must be at least 1")
     mag = np.ceil(np.abs(v) - 0.5)
-    saturated = bool((mag > K).any())
+    peak = float(mag.max(initial=0.0))  # nan or inf for a non-finite input
+    if not math.isfinite(peak):
+        raise ValueError("quantizer input must be finite")
     q = np.sign(v) * np.minimum(np.maximum(mag, 0.0), K)
-    return q.astype(np.int64), saturated
-
-
-@dataclass(frozen=True)
-class EncoderState:
-    """Per-node transmitter state: one-step predictor plus telemetry."""
-
-    b: np.ndarray
-    round: int = 0
-    saturation_events: int = 0
-    max_abs_input: float = 0.0
-
-    @staticmethod
-    def initial(m: int) -> "EncoderState":
-        return EncoderState(b=np.zeros(m))
-
-
-@dataclass(frozen=True)
-class DecoderState:
-    """Per-edge receiver state: reconstruction of the sender's predictor."""
-
-    xhat: np.ndarray
-    round: int = 0
-
-    @staticmethod
-    def initial(m: int) -> "DecoderState":
-        return DecoderState(xhat=np.zeros(m))
+    return q.astype(np.int64), peak > K
 
 
 @dataclass(frozen=True)
@@ -125,69 +103,3 @@ class NoiseModel:
     def is_ideal(self) -> bool:
         return (self.damping == 1.0 and not self.init_errors_enabled
                 and not self.roundoff_enabled)
-
-
-def encode_step(st: EncoderState, x: np.ndarray, s_prev: float,
-                K: int) -> tuple:
-    """One transmitter round: quantize the scaled innovation, advance b.
-
-    Returns ``(q, new_state)`` where q is the integer symbol vector.
-    """
-    if s_prev <= 0.0:
-        raise ValueError("scale must be positive")
-    arg = (np.asarray(x, dtype=float) - st.b) / s_prev
-    q, saturated = quantize_vec(arg, K)
-    peak = float(np.abs(arg).max()) if arg.size else 0.0
-    new = EncoderState(
-        b=s_prev * q + st.b,
-        round=st.round + 1,
-        saturation_events=st.saturation_events + (1 if saturated else 0),
-        max_abs_input=max(st.max_abs_input, peak),
-    )
-    return q, new
-
-
-def decode_step(st: DecoderState, q: np.ndarray, s_prev: float) -> DecoderState:
-    """One receiver round: integrate the symbol at the shared scale."""
-    if s_prev <= 0.0:
-        raise ValueError("scale must be positive")
-    return DecoderState(xhat=s_prev * np.asarray(q) + st.xhat,
-                        round=st.round + 1)
-
-
-def damped_encode_step(st: EncoderState, x: np.ndarray, s_prev: float, K: int,
-                       damping: float, noise: np.ndarray | float = 0.0) -> tuple:
-    """Transmitter round with predictor damping and additive round-off noise.
-
-    With ``damping = 1`` and zero noise this is bitwise identical to
-    :func:`encode_step`.
-    """
-    if s_prev <= 0.0:
-        raise ValueError("scale must be positive")
-    arg = (np.asarray(x, dtype=float) - st.b) / s_prev
-    q, saturated = quantize_vec(arg, K)
-    peak = float(np.abs(arg).max()) if arg.size else 0.0
-    if damping == 1.0 and np.all(np.asarray(noise) == 0.0):
-        b_new = s_prev * q + st.b
-    else:
-        b_new = s_prev * q + damping * st.b + noise
-    new = EncoderState(
-        b=b_new,
-        round=st.round + 1,
-        saturation_events=st.saturation_events + (1 if saturated else 0),
-        max_abs_input=max(st.max_abs_input, peak),
-    )
-    return q, new
-
-
-def damped_decode_step(st: DecoderState, q: np.ndarray, s_prev: float,
-                       damping: float,
-                       noise: np.ndarray | float = 0.0) -> DecoderState:
-    """Receiver round with the same damping/noise structure as the sender."""
-    if s_prev <= 0.0:
-        raise ValueError("scale must be positive")
-    if damping == 1.0 and np.all(np.asarray(noise) == 0.0):
-        xh = s_prev * np.asarray(q) + st.xhat
-    else:
-        xh = s_prev * np.asarray(q) + damping * st.xhat + noise
-    return DecoderState(xhat=xh, round=st.round + 1)

@@ -1,7 +1,7 @@
 """Undirected graphs, Laplacians, and symmetric-spectrum utilities.
 
 Every other part of the library consumes graphs through this module: the
-solver needs adjacency structure, and the parameter calculus needs the
+solver needs the edge list, and the parameter calculus needs the
 Laplacian's algebraic connectivity (second-smallest eigenvalue), its largest
 eigenvalue, and the maximum node degree.
 """
@@ -18,18 +18,11 @@ __all__ = [
     "build_laplacian",
     "generate_graph",
     "sym_eig_extremes",
-    "jacobi_eigenvalues",
     "parse_graph",
     "format_graph",
     "load_graph",
     "save_graph",
 ]
-
-# Above this dimension the cyclic-Jacobi sweep is needlessly slow and we
-# defer to LAPACK; the Jacobi path stays the default at small sizes so the
-# library carries its own self-contained eigensolver for the common cases.
-_JACOBI_MAX_DIM = 64
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -47,13 +40,6 @@ class Graph:
                 raise ValueError(f"self-loop ({i},{j}) not allowed")
             if not (1 <= i < j <= self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range or unordered")
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count))
-        for (i, j) in self.edges:
-            a[i - 1, j - 1] = 1.0
-            a[j - 1, i - 1] = 1.0
-        return a
 
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.node_count, dtype=int)
@@ -103,51 +89,10 @@ def _bfs_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def jacobi_eigenvalues(A: np.ndarray, tol_factor: float = 1e-13,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig_extremes(A: np.ndarray) -> tuple:
+    """(smallest, largest) eigenvalue of a symmetric matrix (LAPACK).
 
-    Stops when the off-diagonal Frobenius norm drops below
-    ``tol_factor * ||A||_F`` or after ``max_sweeps`` full sweeps.
-    """
-    a = np.array(A, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol_factor * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol_factor * norm_a / (n * n):
-                    continue
-                # classical 2x2 symmetric Schur rotation
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diag(a))
-
-
-def sym_eig_extremes(A: np.ndarray, method: str = "auto") -> tuple:
-    """(smallest, largest) eigenvalue of a symmetric matrix.
-
-    ``method`` is one of ``auto`` (Jacobi below dimension 64, LAPACK above),
-    ``jacobi``, or ``lapack``. Raises if the input is measurably asymmetric.
+    Raises if the input is measurably asymmetric.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -155,15 +100,7 @@ def sym_eig_extremes(A: np.ndarray, method: str = "auto") -> tuple:
     scale = np.abs(A).max()
     if scale > 0 and np.abs(A - A.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    if method == "auto":
-        method = "jacobi" if A.shape[0] <= _JACOBI_MAX_DIM else "lapack"
-    if method == "jacobi":
-        vals = jacobi_eigenvalues(A)
-    elif method == "lapack":
-        vals = np.linalg.eigvalsh(A)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    vals = np.linalg.eigvalsh(0.5 * (A + A.T))
     return float(vals[0]), float(vals[-1])
 
 

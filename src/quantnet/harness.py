@@ -558,7 +558,7 @@ def _reproduce_ex3(out_dir, graphs_per_p: int | None = None) -> RunArtifacts:
 
     def theta_for(g: Graph) -> float:
         lap = build_laplacian(g)
-        ops = build_stacked(p_problem, lap, eig_method="lapack")
+        ops = build_stacked(p_problem, lap)
         return theta_n(ops, lap, m, n)
 
     named = {kind: theta_for(generate_graph(kind, n))

@@ -3,7 +3,7 @@
 These re-derive the solver dynamics as compact recursions on stacked
 (m*N)-vectors, written directly from the algebraic reformulation rather
 than from per-node message passing. Agreement between the two is a strong
-end-to-end check: they share only the scalar quantizer.
+end-to-end check: they share only ``codec.quantize_vec``.
 
 Also includes the unquantized baseline update (perfect communication).
 """
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import quantize_vec
 from .graph import LaplacianSummary
 from .problem import StackedOperators
 
@@ -27,11 +28,6 @@ __all__ = [
     "compact_ls_step",
     "unquantized_step",
 ]
-
-
-def _quantize_stack(v: np.ndarray, K: int) -> np.ndarray:
-    mag = np.ceil(np.abs(v) - 0.5)
-    return np.sign(v) * np.minimum(np.maximum(mag, 0.0), K)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ def compact_exact_step(st: CompactExactState, alpha: float, h: float,
     """
     theta = st.eps + h * (ops.Lm @ st.eps) - h * (ops.Fd @ st.omega)
     omega_next = (ops.Ph @ st.omega + h * (ops.Lm @ st.eps)) / alpha
-    eps_next = (theta - _quantize_stack(theta, K)) / alpha
+    eps_next = (theta - quantize_vec(theta, K)[0]) / alpha
     return CompactExactState(omega=omega_next, eps=eps_next,
                              round=st.round + 1)
 
@@ -144,7 +140,7 @@ def compact_ls_step(st: CompactLSState, h: float, s_r: float, gamma_k: float,
                          + h * (ops.Dm @ (ops.zH - Hx)))
     theta = (st.eps + h * Leps
              - (h / s_r) * (ops.Lm @ st.eta + Hx - ops.zH))
-    eps_next = beta_k * (theta - _quantize_stack(theta, K))
+    eps_next = beta_k * (theta - quantize_vec(theta, K)[0])
     return CompactLSState(x=x_next, eta=eta_next, eps=eps_next,
                           round=st.round + 1)
 

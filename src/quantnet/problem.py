@@ -101,8 +101,7 @@ def classify(p: LinearProblem, exact_tol: float | None = None,
     return ProblemClassification(kind, y, residual)
 
 
-def build_stacked(p: LinearProblem, lap: LaplacianSummary,
-                  eig_method: str = "auto") -> StackedOperators:
+def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     """Assemble the stacked operators used by the calculus and the oracles."""
     n, m = p.n_nodes, p.dim
     if lap.L.shape[0] != n:
@@ -113,7 +112,7 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary,
         Hd[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(hi, hi)
     Fd = np.kron(lap.L, np.eye(m)) + Hd
     zH = (p.z[:, None] * p.H).reshape(-1)
-    fd_min, fd_max = sym_eig_extremes(Fd, method=eig_method)
+    fd_min, fd_max = sym_eig_extremes(Fd)
     # infinity norm = max absolute row sum; the block-diagonal structure
     # reduces both norms to per-block quantities
     hd_inf = max(float(np.abs(np.outer(h, h)).sum(axis=1).max()) for h in p.H)

@@ -1,20 +1,35 @@
 """Synchronous round-based simulation of the quantized distributed solver.
 
-Per round, every node updates its state from (a) the reconstructed neighbor
-predictors minus its own predictor (consensus term) and (b) its private
-gradient of the local residual, then broadcasts one quantized innovation
-symbol per coordinate. Two modes:
+Per round, every node updates its state from (a) its reconstructions of
+its neighbors' predictors minus its own predictor (consensus term) and (b)
+its private gradient of the local residual, then broadcasts one quantized
+innovation symbol per coordinate. Two modes:
 
 * exact mode: constant gradient gain, geometrically shrinking scale
   ``s(k) = s0 * alpha**k``; converges exponentially to the exact solution.
 * least-squares mode: diminishing gradient gain ``gamma(k)`` and scale
   ``s(k) = s_r * gamma(k)``; converges to the least-squares solution.
 
-A robust variant routes the codec through the damped/noisy update.
+A robust variant damps the codec states and injects initialization errors
+and round-off noise (:class:`~quantnet.codec.NoiseModel`).
 
-State arrays are vectorized over nodes (all nodes advance in lockstep from
-round-k state, which makes the update order-independent by construction),
-but the arithmetic is identical to the per-node codec functions.
+State: node i holds x_i and its encoder predictor b_i, both (N, m)
+arrays. Each directed edge i <- j holds a decoder xhat_ij, node i's
+reconstruction of b_j; the decoders form one (2E, m) array sorted by
+(receiver, sender), and the consensus term sums them per receiver in that
+order. A round therefore costs O(E*m) time and memory. All nodes advance
+in lockstep from round-(k-1) state.
+
+Draw order (documented, fixed): with ``cx`` set, x(0) is uniform in
+[-cx, cx] from ``cfg.seed``. Robust mode draws from ``noise.seed``:
+encoder initialization errors for nodes 1..N, then decoder initialization
+errors for the directed edges in (receiver, sender) order; per round,
+encoder round-off noise for nodes 1..N, then decoder round-off noise in
+the same edge order.
+
+:func:`iter_rounds` is the one round kernel. ``run_exact``, ``run_ls`` and
+``run_robust`` record a :class:`Trace` from it, and ``quantnet
+oracle-check`` compares its rounds with the matrix-form recursions.
 """
 
 from __future__ import annotations
@@ -23,10 +38,11 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .codec import NoiseModel, QuantizerSpec
+from .codec import NoiseModel, QuantizerSpec, quantize_vec
 from .graph import Graph, build_laplacian
 from .problem import LinearProblem, build_stacked, classify
 
@@ -41,6 +57,8 @@ __all__ = [
     "run_ls",
     "run_robust",
     "traces_dynamics_equal",
+    "RoundState",
+    "iter_rounds",
 ]
 
 PRNG_ID = "numpy-pcg64"  # bit generator used for every seeded draw
@@ -238,9 +256,91 @@ def _initial_states(p: LinearProblem, cfg) -> np.ndarray:
     return np.zeros((n, m))
 
 
-def _run_core(p: LinearProblem, g: Graph, cfg, mode: str,
-              noise: NoiseModel | None = None) -> Trace:
-    """Shared round loop for all modes; see the module docstring."""
+class RoundState(NamedTuple):
+    """Solver state after round k; k = 0 is the initial state."""
+
+    k: int
+    x: np.ndarray               # (N, m) node states
+    b: np.ndarray               # (N, m) encoder predictors
+    xhat: np.ndarray            # (2E, m) decoders, (receiver, sender) order
+    q: np.ndarray | None        # (N, m) symbols sent in round k (k >= 1)
+    peaks: np.ndarray | None    # (N,) largest |quantizer input| (k >= 1)
+    drift: float | None         # with noise, k >= 1: max |xhat_ij - b_j|
+
+
+def _directed_edges(g: Graph) -> tuple:
+    """0-based (receiver, sender) arrays of the 2E directed edges, sorted."""
+    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2) - 1
+    recv = np.concatenate([e[:, 0], e[:, 1]])
+    send = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((send, recv))
+    return recv[order], send[order]
+
+
+def iter_rounds(p: LinearProblem, g: Graph, cfg,
+                noise: NoiseModel | None = None):
+    """The round kernel: yield the :class:`RoundState` of rounds 0..max_rounds.
+
+    An :class:`LSConfig` selects the least-squares gain and scale schedule,
+    an :class:`ExactConfig` the geometric one. A ``noise`` model selects the
+    damped/noisy codec. The caller decides when to stop; the kernel raises
+    :class:`SaturationError` in strict mode and ``ValueError`` when a
+    quantizer input is not finite.
+    """
+    n, m = p.n_nodes, p.dim
+    recv, send = _directed_edges(g)
+    deg = np.bincount(recv, minlength=n)
+    x = _initial_states(p, cfg)
+    b = np.zeros((n, m))
+    xhat = np.zeros((len(recv), m))
+    damping, roundoff, rng = 1.0, False, None
+    if noise is not None:
+        damping, roundoff = noise.damping, noise.roundoff_enabled
+        rng = np.random.default_rng(noise.seed)
+        if noise.init_errors_enabled:
+            lo, hi = noise.init_error_range
+            b = rng.uniform(lo, hi, size=(n, m))
+            xhat = rng.uniform(lo, hi, size=xhat.shape)
+    yield RoundState(0, x, b, xhat, None, None, None)
+
+    ls = isinstance(cfg, LSConfig)
+    for k in range(1, cfg.max_rounds + 1):
+        if ls:
+            gain = float(cfg.gamma.gamma(k - 1))
+            s_prev = cfg.s_r * gain
+        else:
+            gain = 1.0
+            s_prev = cfg.s0 * cfg.alpha ** (k - 1)
+
+        # state update from round-(k-1) information; the consensus term is
+        # zero at the first update when the codec states start at rest
+        grad = (np.einsum("ij,ij->i", p.H, x) - p.z)[:, None] * p.H
+        heard = np.zeros((n, m))
+        np.add.at(heard, recv, xhat)
+        x = x + cfg.h * ((heard - deg[:, None] * b) - gain * grad)
+
+        # transmission of round k: encode x(k) at scale s(k-1)
+        arg = (x - b) / s_prev
+        q, _ = quantize_vec(arg, cfg.K)
+        peaks = np.abs(arg).max(axis=1)
+        if cfg.strict_saturation and (peaks > cfg.K + 0.5).any():
+            raise SaturationError(k)
+        sq = s_prev * q
+        b = sq + damping * b
+        xhat = sq[send] + damping * xhat
+        if roundoff:
+            amp = noise.roundoff_amp
+            b = b + rng.uniform(-amp, amp, size=b.shape)
+            xhat = xhat + rng.uniform(-amp, amp, size=xhat.shape)
+
+        drift = (float(np.abs(xhat - b[send]).max())
+                 if noise is not None else None)
+        yield RoundState(k, x, b, xhat, q, peaks, drift)
+
+
+def _run(p: LinearProblem, g: Graph, cfg, mode: str,
+         noise: NoiseModel | None = None) -> Trace:
+    """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
     n, m = p.n_nodes, p.dim
     lap = build_laplacian(g)
     ops = build_stacked(p, lap)
@@ -250,6 +350,7 @@ def _run_core(p: LinearProblem, g: Graph, cfg, mode: str,
     y_ref = cls.solution
 
     exact_like = mode in ("exact", "robust")
+    have_bound = False
     if exact_like:
         if cls.kind != "UniqueExact" and mode == "exact":
             raise ValueError("exact mode requires an exactly solvable system")
@@ -260,150 +361,53 @@ def _run_core(p: LinearProblem, g: Graph, cfg, mode: str,
                           "running anyway", RuntimeWarning, stacklevel=3)
         have_bound = cfg.alpha > rho_h
 
-    x = _initial_states(p, cfg)
-    adj = g.adjacency()
-    deg = adj.sum(axis=1)
     K = cfg.K
-    spec = QuantizerSpec(K)
-    bits_fixed_per_round = int(2 * len(g.edges) * m * spec.bits_per_coord)
+    bits_per_coord = QuantizerSpec(K).bits_per_coord
+    bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)
+    _, send = _directed_edges(g)   # the sender on each directed edge
 
-    b = np.zeros((n, m))
-    xhat = np.zeros((n, n, m))  # xhat[i, j] = reconstruction at i of sender j
-    mask = adj[:, :, None]
-
-    # robust mode: damping, initialization errors, round-off noise.
-    # Draw order (documented, fixed): encoder initialization errors for
-    # nodes 1..N, then decoder initialization errors for directed edges
-    # (receiver, sender) in lexicographic order; per round, encoder
-    # round-off noise for nodes 1..N, then decoder round-off noise in the
-    # same directed-edge order.
-    rng = None
-    directed = None
-    damping = 1.0
-    if mode == "robust":
-        assert noise is not None
-        damping = noise.damping
-        rng = np.random.default_rng(noise.seed)
-        directed = [(i, j) for i in range(n) for j in range(n) if adj[i, j] > 0]
-        if noise.init_errors_enabled:
-            lo, hi = noise.init_error_range
-            b = rng.uniform(lo, hi, size=(n, m))
-            draws = rng.uniform(lo, hi, size=(len(directed), m))
-            for (idx, (i, j)) in enumerate(directed):
-                xhat[i, j] = draws[idx]
-
-    hx = np.einsum("ij,ij->i", p.H, x)
-    grad = (hx - p.z)[:, None] * p.H
-
-    def err_stats(xv):
-        diff = xv - y_ref[None, :]
-        return (float(np.linalg.norm(diff)),
-                np.abs(diff).max(axis=1))
-
-    e2, einf = err_stats(x)
-    rec_k = [0]
-    rec_err2 = [e2]
-    rec_einf = [einf]
-    rec_maxin = [float("nan")]
-    rec_sat = [0]
-    rec_bits = [0]
-    rec_bits_nz = [0]
-    rec_bound = [None]
-    rec_ratio = [None]
-    rec_drift = [float("nan")] if mode == "robust" else None
-
-    if exact_like and have_bound:
-        rec_bound[0] = float(bound_B(0, cfg.h, cfg.s0, cfg.alpha,
-                                     ops.fd_min, lap.lambdaN, m, n))
-    if mode == "ls":
-        rec_ratio[0] = float(einf.max() / cfg.gamma.gamma(0))
-
-    sat_total = 0
-    bits_total = 0
-    bits_nz_total = 0
+    rec_k, rec_err2, rec_einf, rec_maxin = [], [], [], []
+    rec_sat, rec_bits, rec_bits_nz, rec_bound, rec_ratio = [], [], [], [], []
+    rec_drift = []
+    sat_total = bits_total = bits_nz_total = 0
     stop_reason = "max_rounds"
-
-    for k in range(1, cfg.max_rounds + 1):
-        if mode == "ls":
-            g_prev = float(cfg.gamma.gamma(k - 1))
-            s_prev = cfg.s_r * g_prev
-        else:
-            g_prev = 1.0
-            s_prev = cfg.s0 * cfg.alpha ** (k - 1)
-
-        # state update from round-(k-1) information (consensus term is zero
-        # at the first update because all codec states start at rest)
-        cons = xhat.sum(axis=1) - deg[:, None] * b
-        x = x + cfg.h * (cons - g_prev * grad)
-
-        # transmission of round k: encode x(k) at scale s(k-1)
-        arg = (x - b) / s_prev
-        mag = np.ceil(np.abs(arg) - 0.5)
-        q = np.sign(arg) * np.minimum(np.maximum(mag, 0.0), K)
-        node_peaks = np.abs(arg).max(axis=1)
-        sat_total += int((node_peaks > K + 0.5).sum())
-        if cfg.strict_saturation and (node_peaks > K + 0.5).any():
-            raise SaturationError(k)
-
-        sq = s_prev * q
-        if mode == "robust" and noise.roundoff_enabled:
-            nb = rng.uniform(-noise.roundoff_amp, noise.roundoff_amp,
-                             size=(n, m))
-            nx_draws = rng.uniform(-noise.roundoff_amp, noise.roundoff_amp,
-                                   size=(len(directed), m))
-            nx = np.zeros((n, n, m))
-            for (idx, (i, j)) in enumerate(directed):
-                nx[i, j] = nx_draws[idx]
-            b = sq + damping * b + nb
-            xhat = (sq[None, :, :] + damping * xhat + nx) * mask
-        elif mode == "robust" and damping != 1.0:
-            b = sq + damping * b
-            xhat = (sq[None, :, :] + damping * xhat) * mask
-        else:
-            b = sq + b
-            xhat = (sq[None, :, :] + xhat) * mask
-
-        bits_total += bits_fixed_per_round
-        bits_nz_total += int(spec.bits_per_coord
-                             * (deg * (q != 0).sum(axis=1)).sum())
-
-        hx = np.einsum("ij,ij->i", p.H, x)
-        grad = (hx - p.z)[:, None] * p.H
-
-        e2, einf = err_stats(x)
+    for st in iter_rounds(p, g, cfg, noise):
+        k, x = st.k, st.x
+        diff = x - y_ref[None, :]
+        e2 = float(np.linalg.norm(diff))
+        einf = np.abs(diff).max(axis=1)
+        peak = float("nan")
+        if k > 0:
+            peak = float(st.peaks.max())
+            if peak > K + 0.5:
+                sat_total += int((st.peaks > K + 0.5).sum())
+            bits_total += bits_fixed_per_round
+            bits_nz_total += bits_per_coord * int(
+                np.count_nonzero(st.q.take(send, axis=0)))
         rec_k.append(k)
         rec_err2.append(e2)
         rec_einf.append(einf)
-        rec_maxin.append(float(node_peaks.max()))
+        rec_maxin.append(peak)
         rec_sat.append(sat_total)
         rec_bits.append(bits_total)
         rec_bits_nz.append(bits_nz_total)
-        if exact_like:
-            rec_bound.append(
-                float(bound_B(k, cfg.h, cfg.s0, cfg.alpha, ops.fd_min,
-                              lap.lambdaN, m, n)) if have_bound else None)
-            rec_ratio.append(None)
-        else:
-            rec_bound.append(None)
+        if have_bound:
+            rec_bound.append(float(bound_B(k, cfg.h, cfg.s0, cfg.alpha,
+                                           ops.fd_min, lap.lambdaN, m, n)))
+        if mode == "ls":
             rec_ratio.append(float(einf.max() / cfg.gamma.gamma(k)))
         if mode == "robust":
-            rec_drift.append(float((np.abs(xhat - b[None, :, :]) * mask).max()))
-
-        if e2 < cfg.stop_tol:
+            rec_drift.append(float("nan") if k == 0 else st.drift)
+        if k > 0 and e2 < cfg.stop_tol:
             stop_reason = "error_tolerance"
             break
 
-    def col(vals):
-        return np.array([float("nan") if v is None else v for v in vals])
-
-    bound_col = col(rec_bound) if exact_like and have_bound else None
-    ratio_col = col(rec_ratio) if mode == "ls" else None
     return Trace(
         mode=mode,
         k=np.array(rec_k),
         err2=np.array(rec_err2),
-        bound_Bk=bound_col,
-        ratio_err_gamma=ratio_col,
+        bound_Bk=np.array(rec_bound) if have_bound else None,
+        ratio_err_gamma=np.array(rec_ratio) if mode == "ls" else None,
         max_quant_input=np.array(rec_maxin),
         saturation_count=np.array(rec_sat, dtype=np.int64),
         bits_cum=np.array(rec_bits, dtype=np.int64),
@@ -419,19 +423,19 @@ def _run_core(p: LinearProblem, g: Graph, cfg, mode: str,
 
 def run_exact(p: LinearProblem, g: Graph, cfg: ExactConfig) -> Trace:
     """Exact-mode run; requires an exactly solvable system."""
-    return _run_core(p, g, cfg, "exact")
+    return _run(p, g, cfg, "exact")
 
 
 def run_ls(p: LinearProblem, g: Graph, cfg: LSConfig) -> Trace:
     """Least-squares-mode run (also accepts exactly solvable systems)."""
-    return _run_core(p, g, cfg, "ls")
+    return _run(p, g, cfg, "ls")
 
 
 def run_robust(p: LinearProblem, g: Graph, cfg: ExactConfig,
                noise: NoiseModel) -> Trace:
     """Exact-mode run with the damped/noisy codec variant."""
     if noise.is_ideal():
-        tr = _run_core(p, g, cfg, "exact")
+        tr = _run(p, g, cfg, "exact")
         tr.mode = "robust"
         return tr
-    return _run_core(p, g, cfg, "robust", noise=noise)
+    return _run(p, g, cfg, "robust", noise=noise)

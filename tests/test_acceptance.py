@@ -18,12 +18,11 @@ import math
 import numpy as np
 import pytest
 
-from quantnet.cli import _exact_deviation, _ls_deviation
+from quantnet.cli import _oracle_deviation
 from quantnet.codec import NoiseModel, quantize_vec
 from quantnet.graph import build_laplacian, generate_graph
 from quantnet.harness import (CONSTANTS, parse_config, random_problem,
                               run_config)
-from quantnet.oracle import make_exact_operators
 from quantnet.planner import (alpha_star, kmin_from_m, m_prime, m_value,
                               s0_lower_bound, spectral_data, sr_lower_bound,
                               xi_ls_membership, xi_membership)
@@ -107,8 +106,7 @@ def test_criterion_05_exact_oracle(five_exact):
     p, g, lap, ops, sp = five_exact
     h = 1.98 / (ops.fd_min + ops.fd_max)
     cfg = ExactConfig(h=h, alpha=0.98, s0=1.0, K=300, max_rounds=300)
-    eops = make_exact_operators(ops, lap, h, classify(p).solution)
-    assert _exact_deviation(p, g, cfg, eops, 300) < 1e-9
+    assert _oracle_deviation(p, g, cfg) < 1e-9
 
 
 def test_criterion_05_exact_oracle_random():
@@ -123,8 +121,7 @@ def test_criterion_05_exact_oracle_random():
         h = 0.5 * 2.0 / (ops.fd_min + ops.fd_max)
         alpha = 1.0 - 0.5 * h * ops.fd_min
         cfg = ExactConfig(h=h, alpha=alpha, s0=2.0, K=2000, max_rounds=300)
-        eops = make_exact_operators(ops, lap, h, classify(p).solution)
-        dev = _exact_deviation(p, g, cfg, eops, 300)
+        dev = _oracle_deviation(p, g, cfg)
         assert dev < 1e-9, (trial, n, m, dev)
 
 
@@ -244,7 +241,7 @@ def test_criterion_10_ls_oracle(ex4_setting):
     p, g, lap, ops, _ = ex4_setting
     cfg = LSConfig(h=0.0853, K=900, s_r=0.82,
                    gamma=GammaSchedule(26.0, 0.85), max_rounds=2000)
-    assert _ls_deviation(p, g, cfg, ops, lap, 2000) < 1e-8
+    assert _oracle_deviation(p, g, cfg) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantnet.codec import (DecoderState, EncoderState, NoiseModel,
-                            QuantizerSpec, damped_decode_step,
-                            damped_encode_step, decode_step, encode_step,
-                            quantize, quantize_vec)
+from quantnet.codec import NoiseModel, QuantizerSpec, quantize, quantize_vec
+from quantnet.graph import Graph
+from quantnet.harness import CONSTANTS
+from quantnet.problem import LinearProblem
+from quantnet.solver import ExactConfig, iter_rounds, run_robust
 
 
 def test_quantize_pointwise():
@@ -64,77 +65,77 @@ def test_bits_per_coord():
     assert QuantizerSpec(300).bits_per_coord == 10
 
 
+def _pair_rounds(level, s0, alpha=0.5, K=3, rounds=2, noise=None):
+    """Kernel rounds of two linked nodes that start at x = level, the exact
+    solution of their 1-D system: consensus and gradient terms vanish, so
+    each quantizer input is the predictor's error alone."""
+    p = LinearProblem(H=np.ones((2, 1)), z=np.full(2, level))
+    g = Graph(2, frozenset({(1, 2)}))
+    cfg = ExactConfig(h=0.25, alpha=alpha, s0=s0, K=K, max_rounds=rounds,
+                      x0=np.full((2, 1), level))
+    return list(iter_rounds(p, g, cfg, noise))
+
+
 def test_encode_forced_by_zero_init():
-    st0 = EncoderState.initial(1)
-    q, st1 = encode_step(st0, np.array([2.4]), 1.0, 3)
-    assert list(q) == [2] and st1.b[0] == pytest.approx(2.0)
-    q, st1 = encode_step(st0, np.array([2.4]), 10.0, 3)
-    assert list(q) == [0] and st1.b[0] == 0.0
+    st = _pair_rounds(2.4, s0=1.0)[1]
+    assert st.q.tolist() == [[2], [2]] and np.all(st.b == 2.0)
+    st = _pair_rounds(2.4, s0=10.0)[1]
+    assert not st.q.any() and not st.b.any()
 
 
 def test_encode_two_steps_hand_simulated():
-    st0 = EncoderState.initial(1)
-    q1, st1 = encode_step(st0, np.array([1.0]), 1.0, 3)
-    assert list(q1) == [1] and st1.b[0] == 1.0
-    q2, st2 = encode_step(st1, np.array([1.0]), 0.5, 3)
-    assert list(q2) == [0] and st2.b[0] == 1.0
+    r = _pair_rounds(1.0, s0=1.0, alpha=0.5)
+    assert r[1].q.tolist() == [[1], [1]] and np.all(r[1].b == 1.0)
+    assert not r[2].q.any() and np.all(r[2].b == 1.0)
 
 
 def test_encode_telemetry():
-    st0 = EncoderState.initial(1)
-    _, st1 = encode_step(st0, np.array([9.0]), 1.0, 3)
-    assert st1.saturation_events == 1
-    assert st1.max_abs_input == pytest.approx(9.0)
+    st = _pair_rounds(9.0, s0=1.0, K=3)[1]
+    assert st.q.tolist() == [[3], [3]]          # saturated symbols
+    assert st.peaks.tolist() == [9.0, 9.0]      # largest quantizer input
     with pytest.raises(ValueError):
-        encode_step(st0, np.array([1.0]), 0.0, 3)
+        ExactConfig(h=0.25, alpha=0.5, s0=0.0, K=3)
 
 
 def test_decode_basic():
-    d0 = DecoderState.initial(1)
-    d1 = decode_step(d0, np.array([2]), 1.0)
-    assert d1.xhat[0] == pytest.approx(2.0)
-    d2 = decode_step(d1, np.array([0]), 0.5)
-    assert d2.xhat[0] == pytest.approx(2.0)
+    # each receiver integrates the symbol at the shared scale
+    r = _pair_rounds(2.4, s0=1.0, alpha=0.5)
+    assert np.all(r[1].xhat == 2.0)
+    assert r[2].q.tolist() == [[1], [1]] and np.all(r[2].xhat == 2.5)
 
 
-def test_encoder_decoder_coherence(rng):
-    # the receiver's reconstruction equals the sender's predictor bit for
-    # bit over a long random run
-    m, K = 3, 5
-    enc = EncoderState.initial(m)
-    dec = DecoderState.initial(m)
-    s = 1.0
-    x = np.zeros(m)
-    for _ in range(100):
-        x = x + rng.normal(0, 0.3, size=m)
-        q, enc = encode_step(enc, x, s, K)
-        dec = decode_step(dec, q, s)
-        assert np.array_equal(dec.xhat, enc.b)
-        s *= 0.97
+def test_encoder_decoder_coherence(ex1_problem, fig1_graph):
+    # started at rest and without noise, every decoder equals its sender's
+    # predictor bit for bit at every round, damped or not
+    c = CONSTANTS["robustness"]
+    cfg = ExactConfig(h=c["h"], alpha=c["alpha"], s0=c["s0"], K=c["K"],
+                      max_rounds=2000, cx=1.0, seed=5)
+    for damping in (1.0, 0.95):
+        drift = [st.drift for st in iter_rounds(
+            ex1_problem, fig1_graph, cfg, NoiseModel(damping=damping))]
+        assert drift[0] is None and all(d == 0.0 for d in drift[1:])
+    tr = run_robust(ex1_problem, fig1_graph, cfg, NoiseModel(damping=0.95))
+    assert np.all(tr.drift[1:] == 0.0)
 
 
-def test_damped_degenerates_to_ideal(rng):
-    m, K = 2, 4
-    enc_a = EncoderState.initial(m)
-    enc_b = EncoderState.initial(m)
-    for _ in range(20):
-        x = rng.normal(size=m)
-        qa, enc_a = encode_step(enc_a, x, 0.7, K)
-        qb, enc_b = damped_encode_step(enc_b, x, 0.7, K, damping=1.0)
-        assert np.array_equal(qa, qb)
-        assert np.array_equal(enc_a.b, enc_b.b)
+def test_damped_degenerates_to_ideal(ex1_problem, fig1_graph):
+    cfg = ExactConfig(h=0.3, alpha=0.98, s0=1.0, K=4, max_rounds=300,
+                      cx=2.0, seed=1)
+    ideal = iter_rounds(ex1_problem, fig1_graph, cfg)
+    damped = iter_rounds(ex1_problem, fig1_graph, cfg, NoiseModel(damping=1.0))
+    for a, b in zip(ideal, damped, strict=True):
+        for field in ("x", "b", "xhat", "q", "peaks"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_damped_formula():
-    st = EncoderState(b=np.array([1.0]))
-    q, st1 = damped_encode_step(st, np.array([1.0]), 1.0, 3, damping=0.95)
-    # innovation 0 -> symbol 0 -> predictor decays by the damping factor
-    assert list(q) == [0]
-    assert st1.b[0] == pytest.approx(0.95)
-    d = DecoderState(xhat=np.array([2.0]))
-    d1 = damped_decode_step(d, np.array([0]), 1.0, damping=0.5,
-                            noise=np.array([0.25]))
-    assert d1.xhat[0] == pytest.approx(1.25)
+    # predictors and decoders start at 1 (a degenerate init-error range),
+    # so the innovation is 0, the symbol is 0 and both decay by the damping
+    noise = NoiseModel(damping=0.95, init_error_range=(1.0, 1.0),
+                       init_errors_enabled=True)
+    st = _pair_rounds(1.0, s0=1.0, noise=noise)[1]
+    assert not st.q.any()
+    assert np.all(st.b == 0.95) and np.all(st.xhat == 0.95)
 
 
 def test_noise_model_validation():

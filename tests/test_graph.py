@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from quantnet.graph import (Graph, build_laplacian, format_graph,
-                            generate_graph, jacobi_eigenvalues, parse_graph,
-                            sym_eig_extremes)
+                            generate_graph, parse_graph, sym_eig_extremes)
 
 
 def test_fig1_degrees_and_dstar(fig1_graph):
@@ -86,16 +85,6 @@ def test_example1_stacked_extremes(ex1_setting):
     _, _, _, ops, _ = ex1_setting
     assert ops.fd_min + ops.fd_max == pytest.approx(1.98 / 0.4215, rel=3e-4)
     assert ops.fd_min == pytest.approx((1 - 0.9554) / 0.4215, rel=3e-3)
-
-
-@pytest.mark.parametrize("n", [2, 5, 17, 50])
-def test_jacobi_matches_lapack(rng, n):
-    a = rng.standard_normal((n, n))
-    a = (a + a.T) / 2
-    mine = jacobi_eigenvalues(a)
-    ref = np.linalg.eigvalsh(a)
-    scale = max(1.0, np.abs(ref).max())
-    assert np.max(np.abs(mine - ref)) <= 1e-9 * scale
 
 
 def test_spectrum_permutation_invariant(rng):

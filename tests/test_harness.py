@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantnet import cli
 from quantnet.cli import main
 from quantnet.harness import (CONSTANTS, builtin_graph, builtin_problem,
                               parse_config, random_problem, reproduce,
@@ -201,3 +202,37 @@ def test_cli_solve_overrides(tmp_path):
     text = (tmp_path / "trace.csv").read_text()
     rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert len(rows) == 7  # header + rounds 0..5
+
+
+def test_cli_rejects_flags_a_command_ignores():
+    assert main(["reproduce", "ex2", "--seed", "5"]) == 2
+    assert main(["reproduce", "ex2", "--max-rounds", "1"]) == 2
+
+
+def test_cli_solve_divergent_run_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(EXACT_CFG.replace("solver.h = 0.42", "solver.h = 2")
+                        .replace("solver.alpha = 0.98", "solver.alpha = 0.5")
+                        .replace("solver.K = 300", "solver.K = 10")
+                        .replace("max_rounds = 1500", "max_rounds = 3000"))
+    with pytest.warns(RuntimeWarning):
+        assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "quantizer input must be finite" in capsys.readouterr().err
+
+
+def test_cli_oracle_check_starts_from_seeded_x0(tmp_path, monkeypatch):
+    # the co-simulation starts from the solver's own x(0): the uniform draw
+    # in [-cx, cx] from the config's seed
+    starts = []
+    real_init = cli.compact_exact_init
+
+    def spy(x0, s0, ops):
+        starts.append(np.array(x0))
+        return real_init(x0, s0, ops)
+
+    monkeypatch.setattr(cli, "compact_exact_init", spy)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(EXACT_CFG + "solver.cx = 2.0\nseed = 9\n")
+    assert main(["oracle-check", str(cfg_path), "--max-rounds", "200"]) == 0
+    x0 = np.random.default_rng(9).uniform(-2.0, 2.0, size=(5, 2))
+    assert len(starts) == 1 and np.array_equal(starts[0], x0.reshape(-1))

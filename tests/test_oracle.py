@@ -1,6 +1,8 @@
+from itertools import islice
+
 import numpy as np
 
-from quantnet.cli import _exact_deviation, _ls_deviation, _trajectory_exact
+from quantnet.cli import _oracle_deviation
 from quantnet.graph import build_laplacian, generate_graph
 from quantnet.harness import random_problem
 from quantnet.oracle import (compact_exact_init, compact_exact_step,
@@ -8,7 +10,7 @@ from quantnet.oracle import (compact_exact_init, compact_exact_step,
                              make_exact_operators, make_ls_operators,
                              unquantized_step)
 from quantnet.problem import build_stacked, classify
-from quantnet.solver import ExactConfig, GammaSchedule, LSConfig
+from quantnet.solver import ExactConfig, GammaSchedule, LSConfig, iter_rounds
 
 
 def _ex1_cfg(sp, **kw):
@@ -18,9 +20,7 @@ def _ex1_cfg(sp, **kw):
 
 def test_compact_exact_matches_solver_example1(ex1_setting):
     p, g, lap, ops, sp = ex1_setting
-    cfg = _ex1_cfg(sp)
-    eops = make_exact_operators(ops, lap, cfg.h, classify(p).solution)
-    assert _exact_deviation(p, g, cfg, eops, 300) < 1e-9
+    assert _oracle_deviation(p, g, _ex1_cfg(sp)) < 1e-9
 
 
 def test_compact_exact_matches_solver_random():
@@ -33,8 +33,7 @@ def test_compact_exact_matches_solver_random():
         h = 0.5 * 2.0 / (ops.fd_min + ops.fd_max)
         alpha = 1.0 - 0.5 * h * ops.fd_min
         cfg = ExactConfig(h=h, alpha=alpha, s0=2.0, K=1000, max_rounds=150)
-        eops = make_exact_operators(ops, lap, h, classify(p).solution)
-        assert _exact_deviation(p, g, cfg, eops, 150) < 1e-9
+        assert _oracle_deviation(p, g, cfg) < 1e-9
 
 
 def test_compact_exact_innovation_bounded(ex1_setting):
@@ -51,22 +50,22 @@ def test_compact_exact_innovation_bounded(ex1_setting):
 
 def test_compact_exact_reconstruction(ex1_setting):
     p, g, lap, ops, sp = ex1_setting
-    cfg = _ex1_cfg(sp)
+    cfg = _ex1_cfg(sp, cx=1.0, seed=4)
     eops = make_exact_operators(ops, lap, cfg.h, classify(p).solution)
-    xs = _trajectory_exact(p, g, cfg, 50)
-    st = compact_exact_init(xs[0].reshape(-1), cfg.s0, eops)
-    assert np.allclose(st.reconstruct_x(cfg.s0, eops), xs[0].reshape(-1))
+    xs = [st.x.reshape(-1) for st in islice(iter_rounds(p, g, cfg), 51)]
+    st = compact_exact_init(xs[0], cfg.s0, eops)
+    assert np.allclose(st.reconstruct_x(cfg.s0, eops), xs[0])
     for k in range(1, 51):
         st = compact_exact_step(st, cfg.alpha, cfg.h, cfg.K, eops)
     x50 = st.reconstruct_x(cfg.s0 * cfg.alpha ** 50, eops)
-    assert np.allclose(x50, xs[50].reshape(-1), atol=1e-9)
+    assert np.allclose(x50, xs[50], atol=1e-9)
 
 
 def test_compact_ls_matches_solver_example4(ex4_setting):
     p, g, lap, ops, sp = ex4_setting
     cfg = LSConfig(h=0.0853, K=900, s_r=0.82,
                    gamma=GammaSchedule(k0=26.0, delta=0.85), max_rounds=2000)
-    assert _ls_deviation(p, g, cfg, ops, lap, 2000) < 1e-8
+    assert _oracle_deviation(p, g, cfg) < 1e-8
 
 
 def test_compact_ls_matches_solver_random():
@@ -77,7 +76,7 @@ def test_compact_ls_matches_solver_random():
     ops = build_stacked(p, lap)
     cfg = LSConfig(h=0.02, K=2000, s_r=2.0,
                    gamma=GammaSchedule(k0=30.0, delta=0.8), max_rounds=500)
-    assert _ls_deviation(p, g, cfg, ops, lap, 500) < 1e-8
+    assert _oracle_deviation(p, g, cfg) < 1e-8
 
 
 def test_compact_ls_eta_mean_free(ex4_setting):

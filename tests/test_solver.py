@@ -178,3 +178,13 @@ def test_csv_layout(ex1_setting):
     assert row0[0] == "0" and row0[3] == "" and row0[4] == ""
     row1 = lines[2].split(",")
     assert row1[3] == "" and row1[4] != ""
+
+
+def test_divergence_stops_at_nonfinite_quantizer_input(ex1_setting):
+    # h = 2 diverges; s(k) = 0.5**k underflows long before max_rounds, and
+    # the quantizer refuses the non-finite input instead of running on
+    p, g, _, _, _ = ex1_setting
+    cfg = ExactConfig(h=2.0, alpha=0.5, s0=1.0, K=10, max_rounds=3000)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ValueError, match="quantizer input must be finite"):
+            run_exact(p, g, cfg)
