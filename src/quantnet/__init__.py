@@ -21,7 +21,7 @@ from .planner import (ExactPlan, LSPlan, SpectralData, alpha_star,
                       spectral_data, sr_lower_bound, xi_ls_membership,
                       xi_membership)
 from .problem import (LinearProblem, ProblemClassification, StackedOperators,
-                      build_stacked, classify, theta_n)
+                      build_stacked, classify, stacked_extremes, theta_n)
 from .solver import (ExactConfig, GammaSchedule, LSConfig, SaturationError,
                      Trace, bound_B, run_exact, run_ls, run_robust,
                      traces_dynamics_equal)
@@ -32,7 +32,7 @@ __all__ = [
     "Graph", "LaplacianSummary", "build_laplacian", "generate_graph",
     "sym_eig_extremes",
     "LinearProblem", "ProblemClassification", "StackedOperators",
-    "classify", "build_stacked", "theta_n",
+    "classify", "build_stacked", "stacked_extremes", "theta_n",
     "QuantizerSpec", "NoiseModel", "quantize", "quantize_vec",
     "ExactConfig", "LSConfig", "GammaSchedule", "Trace", "SaturationError",
     "bound_B", "run_exact", "run_ls", "run_robust", "traces_dynamics_equal",

@@ -18,6 +18,7 @@ __all__ = [
     "build_laplacian",
     "generate_graph",
     "sym_eig_extremes",
+    "lanczos_extremes",
     "parse_graph",
     "format_graph",
     "load_graph",
@@ -102,6 +103,61 @@ def sym_eig_extremes(A: np.ndarray) -> tuple:
         raise ValueError("matrix is not symmetric")
     vals = np.linalg.eigvalsh(0.5 * (A + A.T))
     return float(vals[0]), float(vals[-1])
+
+
+LANCZOS_TOL = 1e-12     # relative residual that certifies a Ritz value
+LANCZOS_SEED = 20181    # private start-vector stream; reads no user seed
+_LANCZOS_CHECK = 10     # first Ritz check; then every max(10, k/8) steps
+
+
+def lanczos_extremes(apply, dim: int, max_iter: int):
+    """(smallest, largest) eigenvalue of a symmetric operator, matrix-free.
+
+    ``apply`` maps a vector of length ``dim`` to its product with the
+    operator. Lanczos with full reorthogonalisation (Golub & Van Loan,
+    *Matrix Computations*, ch. 10): each step applies the three-term
+    recurrence, then one Gram-Schmidt pass against the whole basis, and
+    extends the tridiagonal T_k. An end Ritz value theta of T_k, with
+    eigenvector s, is certified once beta_k |s_k| <= LANCZOS_TOL * max
+    |theta|: some eigenvalue lies that close to it. Returns the two end
+    Ritz values once both are certified, or None when ``max_iter`` steps
+    give no certificate. The start vector comes from a generator seeded with
+    ``LANCZOS_SEED``, so two calls give the same bits. The basis grows with
+    the step count and never exceeds (max_iter, dim).
+    """
+    q = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    Q = np.empty((min(max_iter, 64), dim))
+    Q[0] = q / np.linalg.norm(q)
+    alpha = np.empty(max_iter)
+    beta = np.empty(max_iter)
+    check = _LANCZOS_CHECK
+    for j in range(max_iter):
+        w = apply(Q[j])
+        alpha[j] = Q[j] @ w
+        w -= alpha[j] * Q[j]
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        basis = Q[:j + 1]
+        w -= basis.T @ (basis @ w)
+        beta[j] = np.linalg.norm(w)
+        # a tiny beta always certifies, so the division below is safe
+        if (j + 1 == check or j + 1 == max_iter
+                or beta[j] <= LANCZOS_TOL * np.abs(alpha[:j + 1]).max()):
+            check += max(_LANCZOS_CHECK, check // 8)
+            T = (np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+                 + np.diag(beta[:j], -1))
+            theta, S = np.linalg.eigh(T)
+            cert = LANCZOS_TOL * max(abs(theta[0]), abs(theta[-1]))
+            if beta[j] * max(abs(S[-1, 0]), abs(S[-1, -1])) <= cert:
+                return float(theta[0]), float(theta[-1])
+        if j + 1 == max_iter:
+            break
+        if j + 1 == len(Q):
+            grown = np.empty((min(2 * len(Q), max_iter), dim))
+            grown[:len(Q)] = Q
+            Q = grown
+        Q[j + 1] = w / beta[j]
+    return None
 
 
 def build_laplacian(g: Graph) -> LaplacianSummary:

@@ -22,7 +22,8 @@ from .planner import (alpha_star, kmin_from_m, m_value, spectral_data,
 from .problem import (LinearProblem, build_stacked, classify, load_problem,
                       theta_n)
 from .solver import (ExactConfig, GammaSchedule, LSConfig, Trace,
-                     run_exact, run_ls, run_robust, traces_dynamics_equal)
+                     _initial_states, run_exact, run_ls, run_robust,
+                     traces_dynamics_equal)
 
 __all__ = [
     "ExperimentConfig",
@@ -348,7 +349,11 @@ def run_config(cfg: ExperimentConfig) -> Trace:
 
 
 def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
-    """Unquantized reference run, recorded in the same trace layout."""
+    """Unquantized reference run, recorded in the same trace layout.
+
+    x(0) is drawn as the solver draws it (``solver.x0``, else ``solver.cx``
+    from ``seed``, else zero).
+    """
     from .oracle import unquantized_step
 
     lap = build_laplacian(g)
@@ -363,8 +368,8 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
         sched = GammaSchedule(cfg.get("gamma.k0"), cfg.get("gamma.delta"))
     else:
         sched = None
-    x = (np.array(cfg.get("solver.x0"), dtype=float).reshape(-1)
-         if "solver.x0" in cfg else np.zeros(m * n))
+    x = _initial_states(p, cfg.get("solver.x0"), cfg.get("solver.cx"),
+                        cfg.get("seed", 0)).reshape(-1)
     y_ref = cls.solution
     target = np.tile(y_ref, n)
     rec_k, rec_err2, rec_einf = [0], [float(np.linalg.norm(x - target))], \

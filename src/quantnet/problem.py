@@ -5,6 +5,12 @@ library distinguishes systems that admit an exact solution (z in the column
 span of H) from genuine least-squares instances, and builds the large
 stacked matrices that both the parameter calculus and the matrix-form
 reference recursions operate on.
+
+The extreme eigenvalues of the stacked operator Fd = L kron I_m + Hd come
+from one entry point, :func:`stacked_extremes`: a dense eigensolve up to
+``DENSE_MAX_DIM`` (m*N), Lanczos on the matrix-free product above it.
+:func:`build_stacked` and the solver both call it. The Lanczos start
+vector comes from a private fixed seed; no user seed is drawn from.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LaplacianSummary, sym_eig_extremes
+from .graph import LaplacianSummary, lanczos_extremes, sym_eig_extremes
 
 __all__ = [
     "LinearProblem",
@@ -21,6 +27,7 @@ __all__ = [
     "StackedOperators",
     "classify",
     "build_stacked",
+    "stacked_extremes",
     "theta_n",
     "parse_problem",
     "format_problem",
@@ -101,18 +108,89 @@ def classify(p: LinearProblem, exact_tol: float | None = None,
     return ProblemClassification(kind, y, residual)
 
 
-def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
-    """Assemble the stacked operators used by the calculus and the oracles."""
-    n, m = p.n_nodes, p.dim
-    if lap.L.shape[0] != n:
+# Stacked dimension m*N up to which the extremes come from a dense
+# eigensolve. Measured crossover (cycle, star, complete and Erdos-Renyi
+# graphs, m in {1, 3, 10}): above it Lanczos was at least as fast on every
+# family with m >= 3. With m = 1, dense graphs cross over later, because
+# the edge-list product costs O(N^2) per step there.
+DENSE_MAX_DIM = 1500
+# Cap on Lanczos steps, also at most m*N/2: past that the reorthogonalisation
+# alone costs about as much as the dense solve it falls back to.
+LANCZOS_MAX_ITER = 2000
+
+
+def _check_sizes(p: LinearProblem, lap: LaplacianSummary) -> None:
+    if lap.L.shape[0] != p.n_nodes:
         raise ValueError("graph size does not match the problem")
+
+
+def _dense_stacked(p: LinearProblem, lap: LaplacianSummary) -> tuple:
+    """The dense (Hd, Fd) pair of the stacked operator."""
+    n, m = p.n_nodes, p.dim
     Hd = np.zeros((m * n, m * n))
     for i in range(n):
         hi = p.H[i]
         Hd[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(hi, hi)
-    Fd = np.kron(lap.L, np.eye(m)) + Hd
+    return Hd, np.kron(lap.L, np.eye(m)) + Hd
+
+
+def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
+    """v -> Fd v without forming Fd: (L kron I_m) v as degree times v minus
+    the per-receiver sums over the directed edges of L (one np.bincount),
+    plus H rowdot(H, v). L is a simple graph's Laplacian (unit weights)."""
+    n, m, H, L = p.n_nodes, p.dim, p.H, lap.L
+    recv, send = np.nonzero(L)          # row-major: (receiver, sender) order
+    off = recv != send
+    recv, send = recv[off], send[off]
+    deg = np.diag(L)[:, None]
+    flat = (recv[:, None] * m + np.arange(m)).ravel()
+
+    def apply(v):
+        V = v.reshape(n, m)
+        heard = np.bincount(flat, weights=V.take(send, axis=0).ravel(),
+                            minlength=n * m).reshape(n, m)
+        return (deg * V - heard
+                + np.einsum("ij,ij->i", H, V)[:, None] * H).ravel()
+    return apply
+
+
+def _extremes(p: LinearProblem, lap: LaplacianSummary, dense_fd) -> tuple:
+    """Dense extremes of ``dense_fd()`` up to DENSE_MAX_DIM, Lanczos above
+    it, and the dense solve again if Lanczos gives no certificate."""
+    dim = p.n_nodes * p.dim
+    if dim > DENSE_MAX_DIM:
+        ext = lanczos_extremes(_stacked_product(p, lap), dim,
+                               max_iter=min(dim // 2, LANCZOS_MAX_ITER))
+        if ext is not None:
+            return ext
+    return sym_eig_extremes(dense_fd())
+
+
+def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
+    """(fd_min, fd_max): extreme eigenvalues of Fd = L kron I_m + Hd.
+
+    Up to ``DENSE_MAX_DIM`` (m*N) they come from a dense eigensolve of Fd.
+    Above it they come from :func:`~quantnet.graph.lanczos_extremes` on the
+    matrix-free product, which forms no (mN x mN) array; each value is
+    certified to ``LANCZOS_TOL * fd_max``. Without a certificate after
+    ``min(mN/2, LANCZOS_MAX_ITER)`` steps, the dense eigensolve runs
+    instead. Either way the bits equal those of :func:`build_stacked`. The
+    Lanczos start vector comes from a private fixed seed, so no user seed
+    (``cfg.seed``, ``noise.seed``) is drawn from.
+    """
+    _check_sizes(p, lap)
+    return _extremes(p, lap, lambda: _dense_stacked(p, lap)[1])
+
+
+def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
+    """Assemble the stacked operators used by the calculus and the oracles.
+
+    ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`.
+    """
+    _check_sizes(p, lap)
+    Hd, Fd = _dense_stacked(p, lap)
     zH = (p.z[:, None] * p.H).reshape(-1)
-    fd_min, fd_max = sym_eig_extremes(Fd)
+    fd_min, fd_max = _extremes(p, lap, lambda: Fd)
     # infinity norm = max absolute row sum; the block-diagonal structure
     # reduces both norms to per-block quantities
     hd_inf = max(float(np.abs(np.outer(h, h)).sum(axis=1).max()) for h in p.H)

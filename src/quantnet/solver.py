@@ -30,6 +30,14 @@ the same edge order.
 :func:`iter_rounds` is the one round kernel. ``run_exact``, ``run_ls`` and
 ``run_robust`` record a :class:`Trace` from it, and ``quantnet
 oracle-check`` compares its rounds with the matrix-form recursions.
+
+Spectral set-up, redone on every ``run_*`` call: the Laplacian summary
+(its connectivity check and ``lambdaN``) and ``(fd_min, fd_max)`` from
+:func:`~quantnet.problem.stacked_extremes`, the same bits the planner gets
+from ``build_stacked``. They feed the guarantee warning and the
+``bound_Bk`` column; the dense stacked operator is never assembled. The
+set-up draws from no user seed, so x(0) and the robust draws above do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import numpy as np
 
 from .codec import NoiseModel, QuantizerSpec, quantize_vec
 from .graph import Graph, build_laplacian
-from .problem import LinearProblem, build_stacked, classify
+from .problem import LinearProblem, classify, stacked_extremes
 
 __all__ = [
     "ExactConfig",
@@ -243,16 +251,17 @@ def bound_B(k, h: float, s0: float, alpha: float, fd_min: float,
             / (2.0 * alpha * (alpha - rho_h)))
 
 
-def _initial_states(p: LinearProblem, cfg) -> np.ndarray:
+def _initial_states(p: LinearProblem, x0, cx, seed: int) -> np.ndarray:
+    """x(0): ``x0`` if given, else uniform in [-cx, cx] from ``seed``,
+    else zero."""
     n, m = p.n_nodes, p.dim
-    if cfg.x0 is not None:
-        x0 = np.array(cfg.x0, dtype=float)
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
         if x0.shape != (n, m):
             raise ValueError("x0 must have shape (N, m)")
         return x0
-    if cfg.cx is not None:
-        rng = np.random.default_rng(cfg.seed)
-        return rng.uniform(-cfg.cx, cfg.cx, size=(n, m))
+    if cx is not None:
+        return np.random.default_rng(seed).uniform(-cx, cx, size=(n, m))
     return np.zeros((n, m))
 
 
@@ -290,7 +299,8 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     n, m = p.n_nodes, p.dim
     recv, send = _directed_edges(g)
     deg = np.bincount(recv, minlength=n)
-    x = _initial_states(p, cfg)
+    flat = (recv[:, None] * m + np.arange(m)).ravel()  # (receiver, coord)
+    x = _initial_states(p, cfg.x0, cfg.cx, cfg.seed)
     b = np.zeros((n, m))
     xhat = np.zeros((len(recv), m))
     damping, roundoff, rng = 1.0, False, None
@@ -315,8 +325,8 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
         # state update from round-(k-1) information; the consensus term is
         # zero at the first update when the codec states start at rest
         grad = (np.einsum("ij,ij->i", p.H, x) - p.z)[:, None] * p.H
-        heard = np.zeros((n, m))
-        np.add.at(heard, recv, xhat)
+        heard = np.bincount(flat, weights=xhat.ravel(),
+                            minlength=n * m).reshape(n, m)
         x = x + cfg.h * ((heard - deg[:, None] * b) - gain * grad)
 
         # transmission of round k: encode x(k) at scale s(k-1)
@@ -343,7 +353,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
     n, m = p.n_nodes, p.dim
     lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
+    fd_min, fd_max = stacked_extremes(p, lap)
     cls = classify(p)
     if cls.kind == "Unsupported":
         raise ValueError("problem is rank deficient")
@@ -354,8 +364,8 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     if exact_like:
         if cls.kind != "UniqueExact" and mode == "exact":
             raise ValueError("exact mode requires an exactly solvable system")
-        rho_h = 1.0 - cfg.h * ops.fd_min
-        h_cap = 2.0 / (ops.fd_min + ops.fd_max)
+        rho_h = 1.0 - cfg.h * fd_min
+        h_cap = 2.0 / (fd_min + fd_max)
         if not (0.0 < cfg.h < h_cap) or not (rho_h < cfg.alpha < 1.0):
             warnings.warn("configuration violates the convergence guarantees; "
                           "running anyway", RuntimeWarning, stacklevel=3)
@@ -393,7 +403,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         rec_bits_nz.append(bits_nz_total)
         if have_bound:
             rec_bound.append(float(bound_B(k, cfg.h, cfg.s0, cfg.alpha,
-                                           ops.fd_min, lap.lambdaN, m, n)))
+                                           fd_min, lap.lambdaN, m, n)))
         if mode == "ls":
             rec_ratio.append(float(einf.max() / cfg.gamma.gamma(k)))
         if mode == "robust":

@@ -263,6 +263,7 @@ def _robust_median(p, g, damping, init_enabled, roundoff_enabled):
     return float(np.median(finals))
 
 
+@pytest.mark.slow
 def test_criterion_11_damped_roundoff_floor(ex1_problem, fig1_graph):
     # KNOWN MARGINAL FAILURE: the damped codec's steady-state noise floor at
     # the published working point sits at ~1.2e-2 (the slow mode amplifies
@@ -272,6 +273,7 @@ def test_criterion_11_damped_roundoff_floor(ex1_problem, fig1_graph):
     assert med <= 1e-2, f"median final err2 {med:.4g}"
 
 
+@pytest.mark.slow
 def test_criterion_11_undamped_much_worse(ex1_problem, fig1_graph):
     damped_init = _robust_median(ex1_problem, fig1_graph, 0.95, True, False)
     undamped_init = _robust_median(ex1_problem, fig1_graph, 1.0, True, False)

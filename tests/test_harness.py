@@ -143,6 +143,16 @@ def test_run_config_exact_and_baseline():
     assert tb.bits_cum[-1] == 0
 
 
+def test_baseline_starts_from_the_solvers_x0():
+    # solver.cx and seed draw x(0) in baseline mode as in exact mode
+    cfg = EXACT_CFG + "solver.cx = 1.0\nseed = 3\n"
+    exact = run_config(parse_config(cfg))
+    base = run_config(parse_config(cfg.replace("mode = exact",
+                                               "mode = baseline")))
+    assert base.err2[0] == exact.err2[0]
+    assert base.err2[0] == pytest.approx(8.1380, abs=1e-4)
+
+
 def test_run_config_byte_determinism(tmp_path):
     cfg = parse_config(LS_CFG)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from quantnet.graph import build_laplacian, generate_graph
+from quantnet import problem
+from quantnet.graph import (LaplacianSummary, build_laplacian, generate_graph,
+                            lanczos_extremes)
 from quantnet.harness import random_problem
-from quantnet.problem import (LinearProblem, build_stacked, classify,
-                              format_problem, parse_problem, theta_n)
+from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
+                              classify, format_problem, parse_problem,
+                              stacked_extremes, theta_n)
 
 
 def test_example1_exact_solution(ex1_problem):
@@ -113,3 +116,72 @@ def test_problem_text_errors():
         parse_problem("2 2\n1 0 1\n")  # wrong row count
     with pytest.raises(ValueError):
         parse_problem("2 2\n1 0\n0 1\n")  # wrong row width
+
+
+def _above_dense_size(kind, m, p=None):
+    """A random system and a graph Laplacian with m*N just above
+    DENSE_MAX_DIM. L is assembled with numpy: build_laplacian's per-edge
+    loop takes seconds on a complete graph of that size."""
+    n = DENSE_MAX_DIM // m + 1
+    A = np.zeros((n, n))
+    if kind == "cycle":
+        A[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    elif kind == "star":
+        A[0, 1:] = 1.0
+    elif kind == "complete":
+        A[np.triu_indices(n, 1)] = 1.0
+    else:   # Erdos-Renyi
+        A = np.triu(np.random.default_rng(5).random((n, n)) < p, 1) * 1.0
+    A += A.T
+    lap = LaplacianSummary(L=np.diag(A.sum(axis=1)) - A, lambda2=np.nan,
+                           lambdaN=np.nan, dstar=int(A.sum(axis=1).max()),
+                           node_count=n)
+    return random_problem(n, m, "exact", seed=5), lap
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("kind,p", [("cycle", None), ("star", None),
+                                    ("complete", None), ("erdos_renyi", 0.01),
+                                    ("erdos_renyi", 0.3)])
+def test_stacked_extremes_lanczos_matches_dense(kind, p, m):
+    # the complete graph's Laplacian has one eigenvalue of multiplicity N-1
+    prob, lap = _above_dense_size(kind, m, p)
+    fd_min, fd_max = stacked_extremes(prob, lap)
+    Fd = np.kron(lap.L, np.eye(m))
+    for i, h in enumerate(prob.H):
+        Fd[i * m:(i + 1) * m, i * m:(i + 1) * m] += np.outer(h, h)
+    vals = np.linalg.eigvalsh(Fd)
+    assert abs(fd_min - vals[0]) <= 1e-10 * vals[-1]
+    assert abs(fd_max - vals[-1]) <= 1e-10 * vals[-1]
+
+
+def test_stacked_extremes_repeat_bit_for_bit():
+    prob, lap = _above_dense_size("cycle", 3)
+    assert stacked_extremes(prob, lap) == stacked_extremes(prob, lap)
+
+
+def test_stacked_extremes_dense_path_is_build_stacked(ex1_setting):
+    p, _, lap, ops, _ = ex1_setting
+    assert stacked_extremes(p, lap) == (ops.fd_min, ops.fd_max)
+    with pytest.raises(ValueError, match="does not match"):
+        stacked_extremes(random_problem(6, 2, "exact", seed=1), lap)
+
+
+def test_lanczos_without_certificate_falls_back_to_dense(ex1_setting,
+                                                         monkeypatch):
+    p, _, lap, ops, _ = ex1_setting
+    monkeypatch.setattr(problem, "DENSE_MAX_DIM", 0)
+    monkeypatch.setattr(problem, "LANCZOS_MAX_ITER", 2)
+    assert stacked_extremes(p, lap) == (ops.fd_min, ops.fd_max)
+    monkeypatch.setattr(problem, "LANCZOS_MAX_ITER", 5)
+    lo, hi = stacked_extremes(p, lap)     # dim 10: certified in 5 steps
+    assert lo == pytest.approx(ops.fd_min, rel=1e-12)
+    assert hi == pytest.approx(ops.fd_max, rel=1e-12)
+
+
+def test_lanczos_extremes_repeated_eigenvalues():
+    # two distinct eigenvalues: the Krylov space is invariant after 2 steps
+    A = np.diag([1.0] * 20 + [4.0] * 30)
+    assert lanczos_extremes(lambda v: A @ v, 50, max_iter=10) == (
+        pytest.approx(1.0, rel=1e-14), pytest.approx(4.0, rel=1e-14))
+    assert lanczos_extremes(lambda v: A @ v, 50, max_iter=1) is None

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from quantnet.codec import NoiseModel
-from quantnet.problem import classify
+from quantnet.graph import build_laplacian, generate_graph
+from quantnet.harness import random_problem
+from quantnet.planner import plan_exact, spectral_data
+from quantnet.problem import DENSE_MAX_DIM, build_stacked, classify
 from quantnet.solver import (ExactConfig, GammaSchedule, LSConfig,
-                             SaturationError, bound_B, run_exact, run_ls,
-                             run_robust, traces_dynamics_equal)
+                             SaturationError, bound_B, iter_rounds, run_exact,
+                             run_ls, run_robust, traces_dynamics_equal)
 
 
 def _ex1_h(ex1_setting):
@@ -188,3 +191,43 @@ def test_divergence_stops_at_nonfinite_quantizer_input(ex1_setting):
     with pytest.warns(RuntimeWarning):
         with pytest.raises(ValueError, match="quantizer input must be finite"):
             run_exact(p, g, cfg)
+
+
+@pytest.fixture(scope="module")
+def cycle_above_dense_size():
+    """A cycle with m*N just above DENSE_MAX_DIM, planned at K = 100."""
+    n, m = DENSE_MAX_DIM // 3 + 1, 3
+    p = random_problem(n, m, "exact", seed=8)
+    g = generate_graph("cycle", n)
+    lap = build_laplacian(g)
+    ops = build_stacked(p, lap)
+    plan = plan_exact(100, 0.5, spectral_data(ops, lap, m, n), cx=1.0,
+                      cw=float(np.abs(classify(p).solution).max()))
+    cfg = ExactConfig(h=plan.h, alpha=plan.alpha, s0=plan.s0_min, K=100,
+                      max_rounds=5, stop_tol=0.0, cx=1.0, seed=4)
+    return p, g, lap, ops, cfg
+
+
+def test_bound_column_above_dense_size(cycle_above_dense_size):
+    # the solver's extremes are the planner's, to the last bit
+    p, g, lap, ops, cfg = cycle_above_dense_size
+    tr = run_exact(p, g, cfg)
+    expect = bound_B(np.arange(len(tr.k)), cfg.h, cfg.s0, cfg.alpha,
+                     ops.fd_min, lap.lambdaN, p.dim, p.n_nodes)
+    assert np.array_equal(tr.bound_Bk, expect)
+
+
+def test_spectral_setup_draws_from_no_user_seed(cycle_above_dense_size):
+    # x(0) and the robust draws match a bare kernel run with no set-up
+    p, g, _, _, cfg = cycle_above_dense_size
+    noise = NoiseModel(damping=0.95, init_error_range=(0.0, 0.5),
+                       roundoff_amp=1e-4, seed=4, init_errors_enabled=True,
+                       roundoff_enabled=True)
+    tr = run_robust(p, g, cfg, noise)
+    states = list(iter_rounds(p, g, cfg, noise))
+    x0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, size=(p.n_nodes,
+                                                                   p.dim))
+    assert np.array_equal(states[0].x, x0)
+    assert tr.err2[0] == np.linalg.norm(x0 - tr.y_ref[None, :])
+    assert np.array_equal(tr.x_final, states[-1].x)
+    assert np.array_equal(tr.drift[1:], [st.drift for st in states[1:]])
