@@ -2,9 +2,10 @@
 
 Node i privately holds one row (h_i, z_i) of the system z = H y. The
 library distinguishes systems that admit an exact solution (z in the column
-span of H) from genuine least-squares instances, and builds the large
-stacked matrices that both the parameter calculus and the matrix-form
-reference recursions operate on.
+span of H) from genuine least-squares instances, and builds the stacked
+operators: their extreme eigenvalues for the parameter calculus and, when
+read, the dense stacked matrices the matrix-form reference recursions
+operate on.
 
 The extreme eigenvalues of the stacked operator Fd = L kron I_m + Hd come
 from one entry point, :func:`stacked_extremes`: a dense eigensolve up to
@@ -15,7 +16,8 @@ vector comes from a private fixed seed; no user seed is drawn from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,10 +73,15 @@ class ProblemClassification:
 
 @dataclass(frozen=True)
 class StackedOperators:
-    """Block operators on the stacked state space of dimension m*N."""
+    """Block operators on the stacked state space of dimension m*N.
 
-    Hd: np.ndarray          # block-diagonal of h_i h_i^T
-    Fd: np.ndarray          # kron(L, I_m) + Hd
+    ``Hd`` (block-diagonal of h_i h_i^T) and ``Fd`` (kron(L, I_m) + Hd) are
+    dense (mN x mN) arrays. Each is assembled from ``problem`` and ``lap``
+    on first read and then kept. Only the matrix-form oracle and the
+    unquantized baseline read them, so a caller that plans or solves
+    allocates no (mN)^2 array.
+    """
+
     zH: np.ndarray          # stack of z_i * h_i
     fd_min: float
     fd_max: float
@@ -82,6 +89,16 @@ class StackedOperators:
     hd_2_norm: float        # spectral norm
     zh_inf_norm: float
     zh_2_norm: float
+    problem: LinearProblem = field(repr=False)
+    lap: LaplacianSummary = field(repr=False)
+
+    @cached_property
+    def Hd(self) -> np.ndarray:
+        return _dense_hd(self.problem)
+
+    @cached_property
+    def Fd(self) -> np.ndarray:
+        return _dense_fd(self.problem, self.lap)
 
 
 def classify(p: LinearProblem, exact_tol: float | None = None,
@@ -109,11 +126,14 @@ def classify(p: LinearProblem, exact_tol: float | None = None,
 
 
 # Stacked dimension m*N up to which the extremes come from a dense
-# eigensolve. Measured crossover (cycle, star, complete and Erdos-Renyi
-# graphs, m in {1, 3, 10}): above it Lanczos was at least as fast on every
-# family with m >= 3. With m = 1, dense graphs cross over later, because
-# the edge-list product costs O(N^2) per step there.
-DENSE_MAX_DIM = 1500
+# eigensolve. Measured crossover (tools/spectral_crossover.py; cycle, star,
+# complete and Erdos-Renyi graphs, m in {1, 3, 10}): from mN = 600 up,
+# Lanczos was faster on every family except cycles with m = 10. Those need
+# 400-450 steps, so they certify within the mN/2 cap only from about 820
+# and break even near 900. Keep it at 600 or more: the five-node examples,
+# the ex2 and criterion-7 systems (500) and a 200-node cycle with m = 3
+# then keep the bits of the dense solve.
+DENSE_MAX_DIM = 800
 # Cap on Lanczos steps, also at most m*N/2: past that the reorthogonalisation
 # alone costs about as much as the dense solve it falls back to.
 LANCZOS_MAX_ITER = 2000
@@ -124,46 +144,56 @@ def _check_sizes(p: LinearProblem, lap: LaplacianSummary) -> None:
         raise ValueError("graph size does not match the problem")
 
 
-def _dense_stacked(p: LinearProblem, lap: LaplacianSummary) -> tuple:
-    """The dense (Hd, Fd) pair of the stacked operator."""
+def _dense_hd(p: LinearProblem) -> np.ndarray:
+    """Dense block-diagonal Hd of the h_i h_i^T blocks."""
     n, m = p.n_nodes, p.dim
-    Hd = np.zeros((m * n, m * n))
-    for i in range(n):
-        hi = p.H[i]
-        Hd[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(hi, hi)
-    return Hd, np.kron(lap.L, np.eye(m)) + Hd
+    Hd = np.zeros((n, m, n, m))
+    node = np.arange(n)
+    Hd[node, :, node, :] = p.H[:, :, None] * p.H[:, None, :]
+    return Hd.reshape(n * m, n * m)
+
+
+def _dense_fd(p: LinearProblem, lap: LaplacianSummary) -> np.ndarray:
+    """Dense Fd = kron(L, I_m) + Hd."""
+    return np.kron(lap.L, np.eye(p.dim)) + _dense_hd(p)
 
 
 def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
-    """v -> Fd v without forming Fd: (L kron I_m) v as degree times v minus
-    the per-receiver sums over the directed edges of L (one np.bincount),
-    plus H rowdot(H, v). L is a simple graph's Laplacian (unit weights)."""
+    """v -> Fd v without forming Fd: (L kron I_m) v, plus H rowdot(H, v).
+
+    L is a simple graph's Laplacian (unit weights), with E edges. On a dense
+    graph (16 E >= N^2) the Laplacian term is the product L @ V with the
+    N x N L that the summary already holds; otherwise it is degree times V
+    minus the per-receiver sums over the directed edges (one np.bincount).
+    Measured per product, one BLAS thread: L @ V costs 0.4-1.7 ns per entry
+    of L at N = 1000, the edge list 4-7 ns per directed edge and column.
+    So at N = 1000 the edge list won on graphs with up to 5% of all edges
+    (0.25 against 1.3 ms at 2%, m = 3), L @ V from 10-20% on, for m in
+    {1, 3, 10} (1.4 against 8.7 ms at 50%). The rule sits at 1/8.
+    Smaller graphs favour L @ V from lower densities; the worst case left on
+    the edge list was N = 300, m = 10 at 10% (0.33 against 0.09 ms).
+    """
     n, m, H, L = p.n_nodes, p.dim, p.H, lap.L
-    recv, send = np.nonzero(L)          # row-major: (receiver, sender) order
-    off = recv != send
-    recv, send = recv[off], send[off]
     deg = np.diag(L)[:, None]
-    flat = (recv[:, None] * m + np.arange(m)).ravel()
+    if 8 * deg.sum() >= n * n:          # 16 E >= N^2, as deg.sum() = 2 E
+        def laplacian(V):
+            return L @ V
+    else:
+        recv, send = np.nonzero(L)      # row-major: (receiver, sender) order
+        off = recv != send
+        recv, send = recv[off], send[off]
+        flat = (recv[:, None] * m + np.arange(m)).ravel()
+
+        def laplacian(V):
+            heard = np.bincount(flat, weights=V.take(send, axis=0).ravel(),
+                                minlength=n * m).reshape(n, m)
+            return deg * V - heard
 
     def apply(v):
         V = v.reshape(n, m)
-        heard = np.bincount(flat, weights=V.take(send, axis=0).ravel(),
-                            minlength=n * m).reshape(n, m)
-        return (deg * V - heard
+        return (laplacian(V)
                 + np.einsum("ij,ij->i", H, V)[:, None] * H).ravel()
     return apply
-
-
-def _extremes(p: LinearProblem, lap: LaplacianSummary, dense_fd) -> tuple:
-    """Dense extremes of ``dense_fd()`` up to DENSE_MAX_DIM, Lanczos above
-    it, and the dense solve again if Lanczos gives no certificate."""
-    dim = p.n_nodes * p.dim
-    if dim > DENSE_MAX_DIM:
-        ext = lanczos_extremes(_stacked_product(p, lap), dim,
-                               max_iter=min(dim // 2, LANCZOS_MAX_ITER))
-        if ext is not None:
-            return ext
-    return sym_eig_extremes(dense_fd())
 
 
 def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
@@ -174,33 +204,38 @@ def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
     matrix-free product, which forms no (mN x mN) array; each value is
     certified to ``LANCZOS_TOL * fd_max``. Without a certificate after
     ``min(mN/2, LANCZOS_MAX_ITER)`` steps, the dense eigensolve runs
-    instead. Either way the bits equal those of :func:`build_stacked`. The
-    Lanczos start vector comes from a private fixed seed, so no user seed
-    (``cfg.seed``, ``noise.seed``) is drawn from.
+    instead. The Lanczos start vector comes from a private fixed seed, so
+    no user seed (``cfg.seed``, ``noise.seed``) is drawn from.
     """
     _check_sizes(p, lap)
-    return _extremes(p, lap, lambda: _dense_stacked(p, lap)[1])
+    dim = p.n_nodes * p.dim
+    if dim > DENSE_MAX_DIM:
+        ext = lanczos_extremes(_stacked_product(p, lap), dim,
+                               max_iter=min(dim // 2, LANCZOS_MAX_ITER))
+        if ext is not None:
+            return ext
+    return sym_eig_extremes(_dense_fd(p, lap))
 
 
 def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
-    """Assemble the stacked operators used by the calculus and the oracles.
+    """Stacked operators and spectral constants for the calculus and the
+    oracles.
 
-    ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`.
+    ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`; the
+    dense ``Hd`` and ``Fd`` are assembled only when read.
     """
-    _check_sizes(p, lap)
-    Hd, Fd = _dense_stacked(p, lap)
+    fd_min, fd_max = stacked_extremes(p, lap)
     zH = (p.z[:, None] * p.H).reshape(-1)
-    fd_min, fd_max = _extremes(p, lap, lambda: Fd)
     # infinity norm = max absolute row sum; the block-diagonal structure
     # reduces both norms to per-block quantities
     hd_inf = max(float(np.abs(np.outer(h, h)).sum(axis=1).max()) for h in p.H)
     hd_2 = max(float(h @ h) for h in p.H)  # spectral norm of a rank-1 block
     return StackedOperators(
-        Hd=Hd, Fd=Fd, zH=zH,
-        fd_min=float(fd_min), fd_max=float(fd_max),
+        zH=zH, fd_min=float(fd_min), fd_max=float(fd_max),
         hd_inf_norm=hd_inf, hd_2_norm=hd_2,
         zh_inf_norm=float(np.abs(zH).max()),
         zh_2_norm=float(np.linalg.norm(zH)),
+        problem=p, lap=lap,
     )
 
 

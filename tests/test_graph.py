@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantnet import graph
 from quantnet.graph import (Graph, build_laplacian, format_graph,
                             generate_graph, parse_graph, sym_eig_extremes)
 
@@ -113,3 +114,76 @@ def test_graph_text_comments_and_errors():
         parse_graph("1 2\n")  # missing header
     with pytest.raises(ValueError):
         parse_graph("N 3\n2 2\n")  # self-loop
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_cycle_lambda2_matches_closed_form(n):
+    lap = build_laplacian(generate_graph("cycle", n))
+    assert abs(lap.lambda2 - 4.0 * np.sin(np.pi / n) ** 2) <= 2e-15
+
+
+def _reachable_from_1(n, edges):
+    adj = {i: [] for i in range(1, n + 1)}
+    for (i, j) in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, queue = {1}, [1]
+    while queue:
+        for w in adj[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen)
+
+
+def _erdos_renyi_loop(n, p, seed):
+    """The generator as loops over (i, j) tuples and a queue, as a
+    reference."""
+    for attempt in range(10_000):
+        rng = np.random.default_rng(seed + attempt)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        draws = rng.random(len(pairs))
+        edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
+        if edges and _reachable_from_1(n, edges) == n:
+            return edges, attempt
+
+
+def test_erdos_renyi_edges_match_loop_reference():
+    retried = 0
+    for (n, p, seed) in [(2, 0.5, 0), (12, 0.15, 1), (20, 0.1, 5),
+                         (30, 0.3, 2), (100, 0.1, 11), (100, 0.9, 3)]:
+        g = generate_graph("erdos_renyi", n, p, seed=seed)
+        edges, attempt = _erdos_renyi_loop(n, p, seed)
+        assert g.edges == edges and g.retries == attempt
+        assert all(type(i) is int and type(j) is int for (i, j) in g.edges)
+        retried += attempt > 0
+    assert retried >= 2
+
+
+def test_connectivity_matches_breadth_first_search():
+    rng = np.random.default_rng(9)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        i, j = np.nonzero(np.triu(rng.random((n, n)) < 0.3 * rng.random(), 1))
+        edges = frozenset(zip((i + 1).tolist(), (j + 1).tolist()))
+        expected = _reachable_from_1(n, edges) == n
+        assert Graph(n, edges).is_connected() == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_ritz_check_matches_dense_tridiagonal():
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 7, 60):
+        a = rng.standard_normal(k)
+        b = np.abs(rng.standard_normal(k - 1)) * 10.0 ** rng.integers(-8, 1, k - 1)
+        T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        theta, S = np.linalg.eigh(T)
+        lo, hi = graph._tridiagonal_extremes(a, b)
+        scale = np.abs(theta).max()
+        assert abs(lo - theta[0]) <= 1e-14 * scale
+        assert abs(hi - theta[-1]) <= 1e-14 * scale
+        for t, s in ((lo, S[:, 0]), (hi, S[:, -1])):
+            assert graph._last_component(a, b, t) == pytest.approx(
+                abs(s[-1]), rel=1e-6, abs=1e-14)

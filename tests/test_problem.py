@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quantnet import problem
 from quantnet.graph import (LaplacianSummary, build_laplacian, generate_graph,
-                            lanczos_extremes)
-from quantnet.harness import random_problem
+                            lanczos_extremes, sym_eig_extremes)
+from quantnet.harness import CONSTANTS, random_problem
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, format_problem, parse_problem,
                               stacked_extremes, theta_n)
@@ -120,8 +122,7 @@ def test_problem_text_errors():
 
 def _above_dense_size(kind, m, p=None):
     """A random system and a graph Laplacian with m*N just above
-    DENSE_MAX_DIM. L is assembled with numpy: build_laplacian's per-edge
-    loop takes seconds on a complete graph of that size."""
+    DENSE_MAX_DIM, L assembled here with numpy."""
     n = DENSE_MAX_DIM // m + 1
     A = np.zeros((n, n))
     if kind == "cycle":
@@ -185,3 +186,93 @@ def test_lanczos_extremes_repeated_eigenvalues():
     assert lanczos_extremes(lambda v: A @ v, 50, max_iter=10) == (
         pytest.approx(1.0, rel=1e-14), pytest.approx(4.0, rel=1e-14))
     assert lanczos_extremes(lambda v: A @ v, 50, max_iter=1) is None
+
+
+def _loop_stacked(p, lap):
+    """The dense (Hd, Fd) pair, assembled block by block as a reference."""
+    n, m = p.n_nodes, p.dim
+    Hd = np.zeros((m * n, m * n))
+    for i, h in enumerate(p.H):
+        Hd[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(h, h)
+    return Hd, np.kron(lap.L, np.eye(m)) + Hd
+
+
+def _ex3_problem():
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    return LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z)
+
+
+@pytest.mark.parametrize("kind,p", [("erdos_renyi", 0.1), ("erdos_renyi", 0.5),
+                                    ("erdos_renyi", 0.9), ("star", None),
+                                    ("complete", None), ("cycle", None)])
+def test_ex3_size_extremes_come_from_lanczos(kind, p):
+    # N = 100, m = 10: the ex3 systems, above DENSE_MAX_DIM
+    prob = _ex3_problem()
+    lap = build_laplacian(generate_graph(kind, 100, p or 0.5, seed=3))
+    dim = prob.n_nodes * prob.dim
+    assert dim > DENSE_MAX_DIM
+    ext = lanczos_extremes(problem._stacked_product(prob, lap), dim,
+                           max_iter=min(dim // 2, problem.LANCZOS_MAX_ITER))
+    assert ext is not None and stacked_extremes(prob, lap) == ext
+    vals = np.linalg.eigvalsh(_loop_stacked(prob, lap)[1])
+    assert abs(ext[0] - vals[0]) <= 1e-10 * vals[-1]
+    assert abs(ext[1] - vals[-1]) <= 1e-10 * vals[-1]
+
+
+@pytest.mark.parametrize("density", [0.05, 0.5])
+def test_dense_and_edge_list_laplacian_products_agree(density):
+    # the two densities sit on either side of the 16 E >= N^2 rule
+    n, m = 120, 3
+    g = generate_graph("erdos_renyi", n, density, seed=4)
+    assert (16 * len(g.edges) >= n * n) == (density == 0.5)
+    lap = build_laplacian(g)
+    prob = random_problem(n, m, "exact", seed=4)
+    rng = np.random.default_rng(4)
+    recv, send = np.nonzero(lap.L - np.diag(np.diag(lap.L)))
+    for _ in range(3):
+        V = rng.standard_normal((n, m))
+        data = np.einsum("ij,ij->i", prob.H, V)[:, None] * prob.H
+        dense = lap.L @ V + data
+        heard = np.zeros((n, m))
+        np.add.at(heard, recv, V[send])
+        edge_list = np.diag(lap.L)[:, None] * V - heard + data
+        got = problem._stacked_product(prob, lap)(V.ravel()).reshape(n, m)
+        scale = np.abs(dense).max()
+        assert np.abs(dense - edge_list).max() <= 1e-12 * scale
+        assert np.abs(got - dense).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["fig1", "ex2", "cycle200"])
+def test_dense_path_keeps_the_dense_bits(case, fig1_graph, ex1_problem):
+    if case == "fig1":
+        prob, g = ex1_problem, fig1_graph
+    elif case == "ex2":
+        c = CONSTANTS["ex2"]
+        prob = random_problem(c["n"], c["m"], "exact", c["seed"])
+        g = generate_graph(c["graph"], c["n"])
+    else:
+        prob, g = random_problem(200, 3, "exact", 6), generate_graph("cycle", 200)
+    lap = build_laplacian(g)
+    ops = build_stacked(prob, lap)
+    assert prob.n_nodes * prob.dim <= DENSE_MAX_DIM
+    assert (ops.fd_min, ops.fd_max) == sym_eig_extremes(
+        _loop_stacked(prob, lap)[1])
+
+
+def test_build_stacked_assembles_dense_matrices_only_when_read():
+    n, m = 1000, 3
+    prob = random_problem(n, m, "exact", seed=7)
+    lap = build_laplacian(generate_graph("cycle", n))
+    square = (m * n) ** 2 * 8          # bytes of one (mN x mN) float array
+    tracemalloc.start()
+    try:
+        ops = build_stacked(prob, lap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < square, f"peak {peak} bytes"
+    Hd, Fd = _loop_stacked(prob, lap)
+    assert np.array_equal(ops.Fd, Fd)
+    assert np.array_equal(ops.Hd, Hd)
+    assert ops.Fd is ops.Fd
