@@ -63,20 +63,25 @@ def quantize(zval: float, K: int) -> int:
 
 
 def quantize_vec(v: np.ndarray, K: int) -> tuple:
-    """Componentwise quantizer. Returns (levels, saturated_flag).
+    """Componentwise quantizer. Returns (levels, peaks).
 
-    Raises ``ValueError`` when an input is not finite, which is how a
-    diverging or underflowing run stops.
+    ``levels`` are the int64 symbols of :func:`quantize`, computed as
+    copysign(min(ceil(|v| - 1/2), K), v). ``peaks`` holds the largest |v|
+    along the last axis: one per node for the kernel's (N, m) input, a
+    scalar for a stacked vector. An input saturates exactly when its peak
+    exceeds K + 1/2. Raises ``ValueError`` when an input is not finite,
+    which is how a diverging or underflowing run stops.
     """
     v = np.asarray(v, dtype=float)
     if K < 1:
         raise ValueError("K must be at least 1")
-    mag = np.ceil(np.abs(v) - 0.5)
-    peak = float(mag.max(initial=0.0))  # nan or inf for a non-finite input
-    if not math.isfinite(peak):
+    mag = np.abs(v)
+    peaks = np.maximum.reduce(mag, axis=-1, initial=0.0)
+    # nan or inf for a non-finite input
+    if not math.isfinite(np.maximum.reduce(peaks, axis=None, initial=0.0)):
         raise ValueError("quantizer input must be finite")
-    q = np.sign(v) * np.minimum(np.maximum(mag, 0.0), K)
-    return q.astype(np.int64), peak > K
+    q = np.copysign(np.minimum(np.ceil(mag - 0.5), K), v)
+    return q.astype(np.int64), peaks
 
 
 @dataclass(frozen=True)

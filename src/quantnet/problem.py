@@ -227,8 +227,11 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     fd_min, fd_max = stacked_extremes(p, lap)
     zH = (p.z[:, None] * p.H).reshape(-1)
     # infinity norm = max absolute row sum; the block-diagonal structure
-    # reduces both norms to per-block quantities
-    hd_inf = max(float(np.abs(np.outer(h, h)).sum(axis=1).max()) for h in p.H)
+    # reduces both norms to per-block quantities. |h_a h_b| = |h_a| |h_b|
+    # exactly, so the (N, m, m) stack of |h_i h_i^T| and its row sums carry
+    # the bits of one np.outer per node.
+    absH = np.abs(p.H)
+    hd_inf = float((absH[:, :, None] * absH[:, None, :]).sum(axis=2).max())
     hd_2 = max(float(h @ h) for h in p.H)  # spectral norm of a rank-1 block
     return StackedOperators(
         zH=zH, fd_min=float(fd_min), fd_max=float(fd_max),

@@ -31,6 +31,24 @@ the same edge order.
 ``run_robust`` record a :class:`Trace` from it, and ``quantnet
 oracle-check`` compares its rounds with the matrix-form recursions.
 
+Where the trace columns are computed, all with the bits of a per-round
+recorder (``tests/test_solver.py`` keeps one as the reference):
+
+* per round: ``err2`` as sqrt(d.d), the bits of ``np.linalg.norm``,
+  because the stop test reads it; ``drift``, which the kernel returns;
+* per block of rounds, in whole-array calls over buffered x(k), quantizer
+  peaks and symbols (``_BLOCK_ENTRIES`` entries each, about 1 MB: x(k)
+  and the symbols take 0.5 MB apiece):
+  ``err_inf_per_node``, ``max_quant_input``, ``saturation_count`` and
+  ``bits_cum_nonzero``;
+* after the run: ``k``, ``bits_cum`` = k times the bits of one round,
+  ``bound_Bk`` from one ``bound_B`` call on all rounds, and
+  ``ratio_err_gamma``, whose gamma(k) is a scalar pow per round
+  (``GammaSchedule.gamma(k)`` with one k). On numpy's vectorised pow,
+  ``GammaSchedule.gamma`` of all rounds at once differs from the
+  per-round values in the last bit on about 5% of rounds, and the
+  kernel's LS scale s_r gamma(k-1) is a per-round value too.
+
 Spectral set-up, redone on every ``run_*`` call: the Laplacian summary
 (its connectivity check and ``lambdaN``) and ``(fd_min, fd_max)`` from
 :func:`~quantnet.problem.stacked_extremes`, the same bits the planner gets
@@ -42,7 +60,6 @@ not depend on it.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -71,6 +88,10 @@ __all__ = [
 
 PRNG_ID = "numpy-pcg64"  # bit generator used for every seeded draw
 STOP_TOL_DEFAULT = 1e-12
+# Entries (rounds x N x m) of one block of states that _run buffers before
+# reducing them to trace columns. x(k) (float64) and the symbols (int64)
+# take 0.5 MB each, so a run holds about 1 MB of buffers.
+_BLOCK_ENTRIES = 65536
 
 
 class SaturationError(RuntimeError):
@@ -98,7 +119,13 @@ class GammaSchedule:
             raise ValueError("delta must lie in (1/2, 1]")
 
     def gamma(self, k) -> float:
-        return (self.k0 / (np.asarray(k, dtype=float) + self.k0)) ** self.delta
+        """gamma(k) for a round k, or elementwise for an array of rounds.
+
+        On an array, numpy's vectorised pow can differ in the last bit from
+        the one-round values; callers that must match those bits (the trace
+        column ``ratio_err_gamma``) call it once per round.
+        """
+        return (self.k0 / (k + self.k0)) ** self.delta
 
     def beta(self, k) -> float:
         return (1.0 + 1.0 / (np.asarray(k, dtype=float) + self.k0)) ** self.delta
@@ -178,31 +205,27 @@ class Trace:
         Numbers are written with 17 significant digits (round-trip exact);
         columns that do not apply to the mode are left empty.
         """
-        buf = io.StringIO()
-        buf.write(f"# mode={self.mode} prng={self.prng} seed={self.seed}\n")
-        for key in sorted(self.extra_header):
-            buf.write(f"# {key}={self.extra_header[key]}\n")
-        buf.write("k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
-                  "saturation_count,bits_cum\n")
+        n = len(self.k)
 
-        def num(v):
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                return ""
-            return f"{v:.17g}"
+        def ints(col):
+            return map(str, np.asarray(col, dtype=np.int64).tolist())
 
-        for idx in range(len(self.k)):
-            row = [
-                str(int(self.k[idx])),
-                num(float(self.err2[idx])),
-                num(float(self.bound_Bk[idx])) if self.bound_Bk is not None else "",
-                num(float(self.ratio_err_gamma[idx]))
-                if self.ratio_err_gamma is not None else "",
-                num(float(self.max_quant_input[idx])),
-                str(int(self.saturation_count[idx])),
-                str(int(self.bits_cum[idx])),
-            ]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        def floats(col):
+            if col is None:
+                return [""] * n
+            return ["" if v != v else f"{v:.17g}"      # nan -> empty
+                    for v in np.asarray(col, dtype=float).tolist()]
+
+        head = [f"# mode={self.mode} prng={self.prng} seed={self.seed}"]
+        head += [f"# {key}={self.extra_header[key]}"
+                 for key in sorted(self.extra_header)]
+        head.append("k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
+                    "saturation_count,bits_cum")
+        rows = map(",".join, zip(
+            ints(self.k), floats(self.err2), floats(self.bound_Bk),
+            floats(self.ratio_err_gamma), floats(self.max_quant_input),
+            ints(self.saturation_count), ints(self.bits_cum)))
+        return "\n".join([*head, *rows]) + "\n"
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -247,7 +270,13 @@ def bound_B(k, h: float, s0: float, alpha: float, fd_min: float,
     if alpha <= rho_h:
         raise ValueError("rate bound undefined: alpha must exceed 1 - h*fd_min")
     kk = np.asarray(k, dtype=float)
-    return (h * s0 * alpha ** kk * np.sqrt(m * n) * lambdaN
+    power = alpha ** kk
+    if kk.ndim:
+        # numpy squares for a scalar exponent of 2, and its vectorised pow
+        # can differ from that in the last bit: keep bound_B(ks) equal, bit
+        # for bit, to the per-round bound_B(k)
+        power[kk == 2.0] = alpha * alpha
+    return (h * s0 * power * np.sqrt(m * n) * lambdaN
             / (2.0 * alpha * (alpha - rho_h)))
 
 
@@ -314,36 +343,42 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     yield RoundState(0, x, b, xhat, None, None, None)
 
     ls = isinstance(cfg, LSConfig)
+    damped = damping != 1.0
+    H, z, h, K = p.H, p.z, cfg.h, cfg.K
+    degc = deg[:, None]
+    if ls:
+        gamma, s_r = cfg.gamma.gamma, cfg.s_r
     for k in range(1, cfg.max_rounds + 1):
-        if ls:
-            gain = float(cfg.gamma.gamma(k - 1))
-            s_prev = cfg.s_r * gain
-        else:
-            gain = 1.0
-            s_prev = cfg.s0 * cfg.alpha ** (k - 1)
-
         # state update from round-(k-1) information; the consensus term is
         # zero at the first update when the codec states start at rest
-        grad = (np.einsum("ij,ij->i", p.H, x) - p.z)[:, None] * p.H
+        grad = (np.einsum("ij,ij->i", H, x) - z)[:, None] * H
         heard = np.bincount(flat, weights=xhat.ravel(),
                             minlength=n * m).reshape(n, m)
-        x = x + cfg.h * ((heard - deg[:, None] * b) - gain * grad)
+        if ls:
+            gain = gamma(k - 1)
+            s_prev = s_r * gain
+            x = x + h * ((heard - degc * b) - gain * grad)
+        else:
+            s_prev = cfg.s0 * cfg.alpha ** (k - 1)
+            x = x + h * ((heard - degc * b) - grad)
 
         # transmission of round k: encode x(k) at scale s(k-1)
-        arg = (x - b) / s_prev
-        q, _ = quantize_vec(arg, cfg.K)
-        peaks = np.abs(arg).max(axis=1)
-        if cfg.strict_saturation and (peaks > cfg.K + 0.5).any():
+        q, peaks = quantize_vec((x - b) / s_prev, K)
+        if cfg.strict_saturation and (peaks > K + 0.5).any():
             raise SaturationError(k)
         sq = s_prev * q
-        b = sq + damping * b
-        xhat = sq[send] + damping * xhat
+        if damped:
+            b = sq + damping * b
+            xhat = sq[send] + damping * xhat
+        else:
+            b = sq + b
+            xhat = sq[send] + xhat
         if roundoff:
             amp = noise.roundoff_amp
             b = b + rng.uniform(-amp, amp, size=b.shape)
             xhat = xhat + rng.uniform(-amp, amp, size=xhat.shape)
 
-        drift = (float(np.abs(xhat - b[send]).max())
+        drift = (float(np.maximum.reduce(np.abs(xhat - b[send]), axis=None))
                  if noise is not None else None)
         yield RoundState(k, x, b, xhat, q, peaks, drift)
 
@@ -371,59 +406,75 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
                           "running anyway", RuntimeWarning, stacklevel=3)
         have_bound = cfg.alpha > rho_h
 
-    K = cfg.K
-    bits_per_coord = QuantizerSpec(K).bits_per_coord
+    bits_per_coord = QuantizerSpec(cfg.K).bits_per_coord
     bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)
-    _, send = _directed_edges(g)   # the sender on each directed edge
+    # symbols sent per nonzero level: one per directed edge out of the node
+    fanout = np.bincount(_directed_edges(g)[1], minlength=n)
 
-    rec_k, rec_err2, rec_einf, rec_maxin = [], [], [], []
-    rec_sat, rec_bits, rec_bits_nz, rec_bound, rec_ratio = [], [], [], [], []
-    rec_drift = []
-    sat_total = bits_total = bits_nz_total = 0
+    # Per round only err2 (the stop test reads it) is computed; x, the
+    # peaks and the symbols go into block buffers, which are reduced to the
+    # other columns in whole-array calls when full or when the run ends.
+    rows = max(1, min(cfg.max_rounds + 1, _BLOCK_ENTRIES // (n * m)))
+    xs = np.empty((rows, n, m))
+    pks = np.empty((rows, n))
+    qs = np.empty((rows, n, m), dtype=np.int64)
+    cols = {"einf": [], "maxin": [], "sat": [], "nz": []}
+
+    def reduce_block(used: int) -> None:
+        pk = pks[:used]
+        cols["einf"].append(np.maximum.reduce(np.abs(xs[:used] - y_ref),
+                                              axis=2))
+        cols["maxin"].append(np.maximum.reduce(pk, axis=1))
+        cols["sat"].append(np.count_nonzero(pk > cfg.K + 0.5, axis=1))
+        cols["nz"].append(np.count_nonzero(qs[:used], axis=2) @ fanout)
+
+    robust = mode == "robust"
+    err2, drift = [], [float("nan")]
     stop_reason = "max_rounds"
     for st in iter_rounds(p, g, cfg, noise):
         k, x = st.k, st.x
-        diff = x - y_ref[None, :]
-        e2 = float(np.linalg.norm(diff))
-        einf = np.abs(diff).max(axis=1)
-        peak = float("nan")
-        if k > 0:
-            peak = float(st.peaks.max())
-            if peak > K + 0.5:
-                sat_total += int((st.peaks > K + 0.5).sum())
-            bits_total += bits_fixed_per_round
-            bits_nz_total += bits_per_coord * int(
-                np.count_nonzero(st.q.take(send, axis=0)))
-        rec_k.append(k)
-        rec_err2.append(e2)
-        rec_einf.append(einf)
-        rec_maxin.append(peak)
-        rec_sat.append(sat_total)
-        rec_bits.append(bits_total)
-        rec_bits_nz.append(bits_nz_total)
-        if have_bound:
-            rec_bound.append(float(bound_B(k, cfg.h, cfg.s0, cfg.alpha,
-                                           fd_min, lap.lambdaN, m, n)))
-        if mode == "ls":
-            rec_ratio.append(float(einf.max() / cfg.gamma.gamma(k)))
-        if mode == "robust":
-            rec_drift.append(float("nan") if k == 0 else st.drift)
-        if k > 0 and e2 < cfg.stop_tol:
+        j = k % rows
+        xs[j] = x
+        if k:
+            pks[j] = st.peaks
+            qs[j] = st.q
+            if robust:
+                drift.append(st.drift)
+        else:
+            pks[j] = np.nan
+            qs[j] = 0
+        d = (x - y_ref).ravel()
+        e2 = math.sqrt(d.dot(d))   # the bits of np.linalg.norm
+        err2.append(e2)
+        stop = k > 0 and e2 < cfg.stop_tol
+        if stop or j == rows - 1 or k == cfg.max_rounds:
+            reduce_block(j + 1)
+        if stop:
             stop_reason = "error_tolerance"
             break
 
+    ks = np.arange(len(err2))
+    bound = (bound_B(ks, cfg.h, cfg.s0, cfg.alpha, fd_min, lap.lambdaN, m, n)
+             if have_bound else None)
+    einf = np.concatenate(cols["einf"])
+    ratio = None
+    if mode == "ls":
+        gamma = np.array([cfg.gamma.gamma(k) for k in range(len(ks))])
+        ratio = np.maximum.reduce(einf, axis=1) / gamma
+    nz_cum = np.cumsum(np.concatenate(cols["nz"]))
     return Trace(
         mode=mode,
-        k=np.array(rec_k),
-        err2=np.array(rec_err2),
-        bound_Bk=np.array(rec_bound) if have_bound else None,
-        ratio_err_gamma=np.array(rec_ratio) if mode == "ls" else None,
-        max_quant_input=np.array(rec_maxin),
-        saturation_count=np.array(rec_sat, dtype=np.int64),
-        bits_cum=np.array(rec_bits, dtype=np.int64),
-        bits_cum_nonzero=np.array(rec_bits_nz, dtype=np.int64),
-        err_inf_per_node=np.array(rec_einf),
-        drift=np.array(rec_drift) if mode == "robust" else None,
+        k=ks,
+        err2=np.array(err2),
+        bound_Bk=bound,
+        ratio_err_gamma=ratio,
+        max_quant_input=np.concatenate(cols["maxin"]),
+        saturation_count=np.cumsum(np.concatenate(cols["sat"]),
+                                   dtype=np.int64),
+        bits_cum=ks * bits_fixed_per_round,
+        bits_cum_nonzero=bits_per_coord * nz_cum,
+        err_inf_per_node=einf,
+        drift=np.array(drift) if robust else None,
         stop_reason=stop_reason,
         x_final=x,
         y_ref=y_ref,

@@ -34,12 +34,30 @@ def test_quantize_vec_matches_scalar(rng):
 
 
 def test_quantize_vec_examples():
-    q, sat = quantize_vec(np.array([0.0, 0.75, -0.75]), 2)
-    assert list(q) == [0, 1, -1] and not sat
-    q, sat = quantize_vec(np.zeros(4), 3)
-    assert not q.any() and not sat
-    q, sat = quantize_vec(np.array([100.0, 0.1]), 1)
-    assert list(q) == [1, 0] and sat
+    q, peaks = quantize_vec(np.array([0.0, 0.75, -0.75]), 2)
+    assert list(q) == [0, 1, -1] and peaks == 0.75
+    q, peaks = quantize_vec(np.zeros((4, 2)), 3)
+    assert not q.any() and peaks.tolist() == [0.0] * 4
+    # one peak per row (node) of the kernel's (N, m) input
+    q, peaks = quantize_vec(np.array([[100.0, 0.1], [-0.2, -2.0]]), 1)
+    assert q.tolist() == [[1, 0], [0, -1]] and peaks.tolist() == [100.0, 2.0]
+    assert (peaks > 1 + 0.5).tolist() == [True, True]
+
+
+@given(st.lists(st.one_of(st.floats(-50, 50), st.sampled_from(
+           [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 3.5, 4.5])),
+       min_size=2, max_size=12),
+       st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_quantize_vec_levels_and_peaks(vals, K):
+    # the levels of the sign(v) * min(max(ceil(|v| - 1/2), 0), K) form, and
+    # a row saturates (a level is clipped) exactly when its peak > K + 1/2
+    v = np.array(vals[: len(vals) // 2 * 2]).reshape(-1, 2)
+    q, peaks = quantize_vec(v, K)
+    mag = np.ceil(np.abs(v) - 0.5)
+    assert np.array_equal(q, np.sign(v) * np.minimum(np.maximum(mag, 0), K))
+    assert np.array_equal(peaks, np.abs(v).max(axis=1))
+    assert np.array_equal(peaks > K + 0.5, (mag > K).any(axis=1))
 
 
 @given(st.floats(-1e6, 1e6), st.integers(1, 50))

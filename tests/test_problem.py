@@ -6,7 +6,7 @@ import pytest
 from quantnet import problem
 from quantnet.graph import (LaplacianSummary, build_laplacian, generate_graph,
                             lanczos_extremes, sym_eig_extremes)
-from quantnet.harness import CONSTANTS, random_problem
+from quantnet.harness import CONSTANTS, builtin_problem, random_problem
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, format_problem, parse_problem,
                               stacked_extremes, theta_n)
@@ -276,3 +276,24 @@ def test_build_stacked_assembles_dense_matrices_only_when_read():
     assert np.array_equal(ops.Fd, Fd)
     assert np.array_equal(ops.Hd, Hd)
     assert ops.Fd is ops.Fd
+
+
+def _ex3_problem():
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    return LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z)
+
+
+@pytest.mark.parametrize("name", ["fig1_ex1", "fig1_ex4", "ex2", "ex3",
+                                  "m17"])
+def test_hd_inf_norm_matches_per_node_loop(name):
+    c = CONSTANTS["ex2"]
+    p = {"fig1_ex1": lambda: builtin_problem("ex1"),
+         "fig1_ex4": lambda: builtin_problem("ex4"),
+         "ex2": lambda: random_problem(c["n"], c["m"], "exact", c["seed"]),
+         "ex3": _ex3_problem,
+         "m17": lambda: random_problem(40, 17, "exact", 3)}[name]()
+    loop = max(float(np.abs(np.outer(h, h)).sum(axis=1).max()) for h in p.H)
+    ops = build_stacked(p, build_laplacian(generate_graph("cycle",
+                                                          p.n_nodes)))
+    assert ops.hd_inf_norm == loop

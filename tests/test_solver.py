@@ -1,11 +1,20 @@
+import dataclasses
+import io
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quantnet.codec import NoiseModel
-from quantnet.graph import build_laplacian, generate_graph
-from quantnet.harness import random_problem
+from quantnet import solver
+from quantnet.codec import NoiseModel, QuantizerSpec
+from quantnet.graph import Graph, build_laplacian, generate_graph
+from quantnet.harness import parse_config, random_problem, run_config
 from quantnet.planner import plan_exact, spectral_data
-from quantnet.problem import DENSE_MAX_DIM, build_stacked, classify
+from quantnet.problem import (DENSE_MAX_DIM, build_stacked, classify,
+                              stacked_extremes)
 from quantnet.solver import (ExactConfig, GammaSchedule, LSConfig,
                              SaturationError, bound_B, iter_rounds, run_exact,
                              run_ls, run_robust, traces_dynamics_equal)
@@ -231,3 +240,249 @@ def test_spectral_setup_draws_from_no_user_seed(cycle_above_dense_size):
     assert tr.err2[0] == np.linalg.norm(x0 - tr.y_ref[None, :])
     assert np.array_equal(tr.x_final, states[-1].x)
     assert np.array_equal(tr.drift[1:], [st.drift for st in states[1:]])
+
+
+# ---------------------------------------------------------------------------
+# trace columns against a per-round reference
+# ---------------------------------------------------------------------------
+
+def _gamma_ref(sched, k):
+    """gamma(k) for one round as a numpy 0-d pow, the per-round formula the
+    trace column ratio_err_gamma has always used."""
+    return float((sched.k0 / (np.asarray(k, dtype=float) + sched.k0))
+                 ** sched.delta)
+
+
+def _reference_trace(p, g, cfg, mode, noise=None):
+    """The trace columns recorded round by round from the kernel's states,
+    with per-round formulas: np.linalg.norm, scalar bound_B(k), a numpy
+    0-d gamma(k) and count_nonzero(q.take(send)). Returns the columns
+    and the round index of a SaturationError, or None."""
+    lap = build_laplacian(g)
+    fd_min = stacked_extremes(p, lap)[0]
+    y = classify(p).solution
+    n, m, K = p.n_nodes, p.dim, cfg.K
+    have_bound = mode != "ls" and cfg.alpha > 1.0 - cfg.h * fd_min
+    bpc = QuantizerSpec(K).bits_per_coord
+    e = np.array(sorted(g.edges)) - 1
+    send = np.concatenate([e[:, 1], e[:, 0]])
+    cols = {key: [] for key in ("err2", "einf", "maxin", "sat", "bits",
+                                "nz", "bound", "ratio", "drift")}
+    sat = bits = nz = 0
+    stop_reason = "max_rounds"
+    try:
+        for st in iter_rounds(p, g, cfg, noise):
+            k = st.k
+            diff = st.x - y[None, :]
+            e2 = float(np.linalg.norm(diff))
+            einf = np.abs(diff).max(axis=1)
+            peak = float("nan")
+            if k > 0:
+                peak = float(st.peaks.max())
+                sat += int((st.peaks > K + 0.5).sum())
+                bits += 2 * len(g.edges) * m * bpc
+                nz += bpc * int(np.count_nonzero(st.q.take(send, axis=0)))
+            for key, val in (("err2", e2), ("einf", einf), ("maxin", peak),
+                             ("sat", sat), ("bits", bits), ("nz", nz)):
+                cols[key].append(val)
+            if have_bound:
+                cols["bound"].append(float(bound_B(
+                    k, cfg.h, cfg.s0, cfg.alpha, fd_min, lap.lambdaN, m, n)))
+            if mode == "ls":
+                cols["ratio"].append(float(einf.max()
+                                           / _gamma_ref(cfg.gamma, k)))
+            cols["drift"].append(float("nan") if k == 0 else st.drift)
+            if k > 0 and e2 < cfg.stop_tol:
+                stop_reason = "error_tolerance"
+                break
+    except SaturationError as exc:
+        return None, exc.round_index
+    cols["stop_reason"], cols["x_final"] = stop_reason, st.x
+    return cols, None
+
+
+def _assert_trace_matches(tr, ref, mode):
+    same = np.array_equal
+    rows = len(ref["err2"])
+    assert same(tr.k, np.arange(rows))
+    assert same(tr.err2, ref["err2"])
+    assert same(tr.err_inf_per_node, np.array(ref["einf"]))
+    assert same(tr.max_quant_input, ref["maxin"], equal_nan=True)
+    assert same(tr.saturation_count, ref["sat"])
+    assert same(tr.bits_cum, ref["bits"])
+    assert same(tr.bits_cum_nonzero, ref["nz"])
+    assert (same(tr.bound_Bk, ref["bound"]) if ref["bound"]
+            else tr.bound_Bk is None)
+    assert (same(tr.ratio_err_gamma, ref["ratio"]) if mode == "ls"
+            else tr.ratio_err_gamma is None)
+    assert (same(tr.drift, ref["drift"], equal_nan=True) if mode == "robust"
+            else tr.drift is None)
+    assert tr.stop_reason == ref["stop_reason"]
+    assert same(tr.x_final, ref["x_final"])
+    for col in (tr.saturation_count, tr.bits_cum, tr.bits_cum_nonzero):
+        assert col.dtype == np.int64
+
+
+def _random_connected_graph(n, extra, seed):
+    """A random spanning tree on n nodes plus ``extra`` random edges."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n) + 1
+    edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+             for i in range(1, n)}
+    for _ in range(extra):
+        i, j = rng.choice(n, size=2, replace=False) + 1
+        edges.add((int(min(i, j)), int(max(i, j))))
+    return Graph(n, frozenset(edges))
+
+
+def _run_mode(p, g, cfg, mode, noise):
+    if mode == "exact":
+        return run_exact(p, g, cfg)
+    if mode == "ls":
+        return run_ls(p, g, cfg)
+    return run_robust(p, g, cfg, noise)
+
+
+@given(n=st.integers(3, 7), m=st.integers(1, 3), extra=st.integers(0, 6),
+       seed=st.integers(0, 2**16), mode=st.sampled_from(["exact", "ls",
+                                                         "robust"]),
+       K=st.sampled_from([1, 2, 5, 50]), gain=st.sampled_from([0.3, 0.9]),
+       scale=st.sampled_from([0.05, 1.0, 20.0]),
+       stop_tol=st.sampled_from([0.0, 0.5, 2.0]),
+       strict=st.booleans(), max_rounds=st.integers(1, 40),
+       block=st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+# the stop tolerance hit inside a block of 3 rounds (exact at round 10, LS
+# at 13), and strict saturation raising (exact at round 5, LS at 32)
+@example(n=5, m=2, extra=2, seed=10, mode="exact", K=50, gain=0.9, scale=1.0,
+         stop_tol=0.5, strict=False, max_rounds=40, block=3)
+@example(n=5, m=2, extra=2, seed=15, mode="ls", K=50, gain=0.9, scale=1.0,
+         stop_tol=0.5, strict=False, max_rounds=40, block=3)
+@example(n=5, m=2, extra=2, seed=4, mode="exact", K=1, gain=0.9, scale=1.0,
+         stop_tol=0.0, strict=True, max_rounds=40, block=3)
+@example(n=5, m=2, extra=2, seed=12, mode="ls", K=1, gain=0.9, scale=1.0,
+         stop_tol=0.0, strict=True, max_rounds=40, block=3)
+def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
+                                                 gain, scale, stop_tol,
+                                                 strict, max_rounds, block):
+    # blocks of ``block`` rounds, so that runs span several blocks and stop
+    # anywhere in one
+    if n <= m:
+        n = m + 1
+    g = _random_connected_graph(n, extra, seed)
+    p = random_problem(n, m, "ls" if mode == "ls" else "exact", seed=seed)
+    fd_min, fd_max = stacked_extremes(p, build_laplacian(g))
+    h = gain * 2.0 / (fd_min + fd_max)
+    common = dict(K=K, max_rounds=max_rounds, strict_saturation=strict,
+                  cx=1.0, stop_tol=stop_tol, seed=seed)
+    noise = None
+    if mode == "ls":
+        cfg = LSConfig(h=h, s_r=scale, gamma=GammaSchedule(k0=5.0 + seed % 40,
+                                                           delta=0.75),
+                       **common)
+    else:
+        cfg = ExactConfig(h=h, alpha=1.0 - 0.5 * h * fd_min, s0=scale,
+                          **common)
+        if mode == "robust":
+            noise = NoiseModel(damping=0.9, init_error_range=(0.0, 0.3),
+                               roundoff_amp=1e-3, seed=seed,
+                               init_errors_enabled=bool(seed % 2),
+                               roundoff_enabled=True)
+    ref, sat_round = _reference_trace(p, g, cfg, mode, noise)
+    with mock.patch.object(solver, "_BLOCK_ENTRIES", block * n * m):
+        if sat_round is not None:
+            with pytest.raises(SaturationError) as exc:
+                _run_mode(p, g, cfg, mode, noise)
+            assert exc.value.round_index == sat_round
+            return
+        tr = _run_mode(p, g, cfg, mode, noise)
+    _assert_trace_matches(tr, ref, mode)
+
+
+def test_trace_columns_across_a_full_block(ex1_problem, fig1_graph):
+    # the default block of a five-node, m = 2 run holds 6553 rounds
+    rows = solver._BLOCK_ENTRIES // 10
+    cfg = ExactConfig(h=0.0213, alpha=0.998, s0=10.0, K=300,
+                      max_rounds=rows + 20, cx=1.0, seed=2)
+    noise = NoiseModel(damping=0.95, roundoff_amp=1e-4, seed=3,
+                       roundoff_enabled=True)
+    ref, _ = _reference_trace(ex1_problem, fig1_graph, cfg, "robust", noise)
+    tr = run_robust(ex1_problem, fig1_graph, cfg, noise)
+    assert tr.rounds == rows + 20 and tr.saturation_count[-1] > 0
+    _assert_trace_matches(tr, ref, "robust")
+
+
+@given(alpha=st.floats(0.05, 0.99999), k_max=st.integers(0, 400))
+@settings(max_examples=200, deadline=None)
+def test_bound_B_array_matches_per_round_calls(alpha, k_max):
+    # includes k = 2, where numpy's scalar pow squares and its vectorised
+    # pow may round differently
+    args = (0.4, 1.7, alpha, (1.0 - alpha) / 0.4 * 1.01, 3.2, 2, 5)
+    ks = np.arange(k_max + 1)
+    per_round = [float(bound_B(int(k), *args)) for k in ks]
+    assert np.array_equal(bound_B(ks, *args), per_round)
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering against the per-row renderer
+# ---------------------------------------------------------------------------
+
+def _csv_per_row(tr):
+    """The trace's CSV rendered one row at a time, as a reference."""
+    buf = io.StringIO()
+    buf.write(f"# mode={tr.mode} prng={tr.prng} seed={tr.seed}\n")
+    for key in sorted(tr.extra_header):
+        buf.write(f"# {key}={tr.extra_header[key]}\n")
+    buf.write("k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
+              "saturation_count,bits_cum\n")
+
+    def num(v):
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            return ""
+        return f"{v:.17g}"
+
+    for idx in range(len(tr.k)):
+        row = [
+            str(int(tr.k[idx])),
+            num(float(tr.err2[idx])),
+            num(float(tr.bound_Bk[idx])) if tr.bound_Bk is not None else "",
+            num(float(tr.ratio_err_gamma[idx]))
+            if tr.ratio_err_gamma is not None else "",
+            num(float(tr.max_quant_input[idx])),
+            str(int(tr.saturation_count[idx])),
+            str(int(tr.bits_cum[idx])),
+        ]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+def test_csv_text_matches_per_row_renderer(ex1_setting, ex4_setting):
+    p1, g, _, _, _ = ex1_setting
+    p4 = ex4_setting[0]
+    exact = run_exact(p1, g, ExactConfig(h=_ex1_h(ex1_setting), alpha=0.98,
+                                         s0=1.0, K=300, max_rounds=400))
+    ls = run_ls(p4, g, LSConfig(h=0.0853, K=900, s_r=0.82,
+                                gamma=GammaSchedule(k0=26.0, delta=0.85),
+                                max_rounds=400, cx=0.5))
+    robust = run_robust(p1, g, ExactConfig(h=0.0213, alpha=0.998, s0=0.01,
+                                           K=3, max_rounds=400),
+                        NoiseModel(damping=0.95, roundoff_amp=1e-4,
+                                   roundoff_enabled=True))
+    base = run_config(parse_config(
+        "mode = baseline\nproblem.builtin = ex1\ngraph.builtin = fig1\n"
+        "solver.h = 0.3\nmax_rounds = 400\n"))
+    assert base.bound_Bk is None and np.isnan(base.max_quant_input).all()
+    assert robust.saturation_count[-1] > 0
+    odd = dataclasses.replace(exact, extra_header={"b": 2, "a": "x"},
+                              err2=exact.err2.copy())
+    odd.err2[1:5] = [np.nan, np.inf, -np.inf, -0.0]
+    for tr in (exact, ls, robust, base, odd):
+        assert tr.csv_text() == _csv_per_row(tr)
+
+
+@given(k0=st.floats(0.5, 500.0), delta=st.floats(0.51, 1.0),
+       k=st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_gamma_matches_numpy_scalar_formula(k0, delta, k):
+    sched = GammaSchedule(k0=k0, delta=delta)
+    assert sched.gamma(k) == _gamma_ref(sched, k)

@@ -1,0 +1,130 @@
+"""Digest the outputs of 15 fixed solver runs, to check that a change keeps
+every bit.
+
+Each run's digest is sha256 over its ``csv_text()`` and the raw bytes of
+``x_final``, ``err_inf_per_node`` and ``drift`` (when the run has one). The
+combined digest is sha256 over the per-run digests in order. Run from the
+repository root, once on each checkout to compare:
+
+    python tools/bit_identity.py
+
+The runs, all at m*N <= 600 so the stacked spectra come from the dense
+eigensolve:
+
+* fig1 exact (ex1 system, the ex1_thm1 gain, cx = 0.5);
+* fig1 least squares at the ex4_thm3 parameters (K = 900), with x(0) = 0
+  and with cx = 0.5;
+* the 8 fig1 robust runs: damping {0.95, 1.0} x initialization errors
+  off/on x round-off off/on, at the robustness constants;
+* exact and robust runs on ER(30, 0.3) and on the 200-node cycle, each
+  with a random m = 3 system. The robust ones use damping 0.95,
+  initialization errors and round-off, and the ER robust run uses an
+  alphabet small enough to saturate.
+
+BLAS is pinned to one thread, so the dense eigensolves take one path.
+"""
+
+from __future__ import annotations
+
+import os
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from quantnet.codec import NoiseModel  # noqa: E402
+from quantnet.graph import build_laplacian, generate_graph  # noqa: E402
+from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
+                              builtin_problem, random_problem)
+from quantnet.problem import stacked_extremes  # noqa: E402
+from quantnet.solver import (ExactConfig, GammaSchedule,  # noqa: E402
+                             LSConfig, run_exact, run_ls, run_robust)
+
+
+def digest(tr) -> str:
+    h = hashlib.sha256(tr.csv_text().encode())
+    h.update(np.ascontiguousarray(tr.x_final).tobytes())
+    h.update(np.ascontiguousarray(tr.err_inf_per_node).tobytes())
+    if tr.drift is not None:
+        h.update(np.ascontiguousarray(tr.drift).tobytes())
+    return h.hexdigest()
+
+
+def fig1_runs():
+    g = builtin_graph()
+    ex1, ex4 = builtin_problem("ex1"), builtin_problem("ex4")
+    fd_min, fd_max = stacked_extremes(ex1, build_laplacian(g))
+    c = CONSTANTS["ex1_thm1"]
+    cfg = ExactConfig(h=c["h_numerator"] / (fd_min + fd_max),
+                      alpha=c["alpha"], s0=c["s0"], K=300,
+                      max_rounds=c["max_rounds"], cx=0.5, seed=3)
+    yield "fig1_exact", lambda cfg=cfg: run_exact(ex1, g, cfg)
+
+    c = CONSTANTS["ex4_thm3"]
+    sched = GammaSchedule(k0=c["k0"], delta=c["delta"])
+    for name, cx in (("fig1_ls_x0", None), ("fig1_ls_cx", 0.5)):
+        cfg = LSConfig(h=c["h"], K=900, s_r=c["s_r"], gamma=sched,
+                       max_rounds=c["max_rounds"], cx=cx, seed=4)
+        yield name, lambda cfg=cfg: run_ls(ex4, g, cfg)
+
+    c = CONSTANTS["robustness"]
+    cfg = ExactConfig(h=c["h"], alpha=c["alpha"], s0=c["s0"], K=c["K"],
+                      max_rounds=10000)
+    for damping in (c["damping"], 1.0):
+        for init in (False, True):
+            for roundoff in (False, True):
+                noise = NoiseModel(damping=damping,
+                                   init_error_range=(c["init_lo"],
+                                                     c["init_hi"]),
+                                   roundoff_amp=c["roundoff"], seed=7,
+                                   init_errors_enabled=init,
+                                   roundoff_enabled=roundoff)
+                name = (f"fig1_robust_d{damping}_i{int(init)}"
+                        f"_r{int(roundoff)}")
+                yield name, lambda noise=noise: run_robust(ex1, g, cfg,
+                                                              noise)
+
+
+def network_runs():
+    noise = NoiseModel(damping=0.95, init_error_range=(0.0, 0.5),
+                       roundoff_amp=1e-4, seed=9, init_errors_enabled=True,
+                       roundoff_enabled=True)
+    for name, g, rounds, robust_K in (
+            ("er30", generate_graph("erdos_renyi", 30, 0.3, seed=5), 2000, 2),
+            ("cycle200", generate_graph("cycle", 200), 300, 100)):
+        p = random_problem(g.node_count, 3, "exact", seed=6)
+        fd_min, fd_max = stacked_extremes(p, build_laplacian(g))
+        h = 1.9 / (fd_min + fd_max)
+        alpha = 1.0 - 0.5 * h * fd_min
+        cfg = ExactConfig(h=h, alpha=alpha, s0=1.0, K=100,
+                          max_rounds=rounds, cx=1.0, seed=8)
+        yield f"{name}_exact", lambda p=p, g=g, cfg=cfg: run_exact(p, g, cfg)
+        rcfg = ExactConfig(h=h, alpha=alpha, s0=1.0, K=robust_K,
+                           max_rounds=rounds, cx=1.0, seed=8)
+        yield (f"{name}_robust",
+               lambda p=p, g=g, rcfg=rcfg: run_robust(p, g, rcfg, noise))
+
+
+def main() -> None:
+    combined = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, run in (*fig1_runs(), *network_runs()):
+            tr = run()
+            d = digest(tr)
+            combined.update(d.encode())
+            print(f"{name:28s} rounds={tr.rounds:6d} "
+                  f"sat={int(tr.saturation_count[-1]):6d} {d}")
+    print(f"{'combined':28s} {combined.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
