@@ -7,15 +7,14 @@ Exit codes: 0 success, 1 check/acceptance failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .harness import (_solver_config, build_graph, build_problem,
-                      builtin_graph, builtin_problem, load_config,
-                      random_problem, reproduce, run_config)
+from .harness import (_solver_config, _write_output, build_graph,
+                      build_problem, builtin_graph, builtin_problem,
+                      load_config, random_problem, reproduce, run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
 from .planner import (alpha_star, plan_exact, plan_ls, spectral_data,
@@ -78,13 +77,9 @@ def _cmd_plan(args) -> int:
     for key, val in report.items():
         print(f"{key} = {val}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "plan.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kind,K,eps,h,alpha_or_beta0,M,Kmin,s_bound,membership\n")
-            for r in rows:
-                fh.write(",".join(str(v) for v in r) + "\n")
-        print(f"# wrote {path}")
+        text = "kind,K,eps,h,alpha_or_beta0,M,Kmin,s_bound,membership\n"
+        text += "".join(",".join(str(v) for v in r) + "\n" for r in rows)
+        print(f"# wrote {_write_output(args.out, 'plan.csv', text)}")
     return 0 if report["membership"] else 1
 
 
@@ -97,10 +92,8 @@ def _cmd_solve(args) -> int:
     if args.strict_saturation:
         cfg.values["strict_saturation"] = True
     trace = run_config(cfg)
-    out = args.out or cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "trace.csv")
-    trace.save_csv(path)
+    path = _write_output(args.out or cfg.get("out") or ".", "trace.csv",
+                         trace.csv_text())
     for key, val in trace.summary().items():
         print(f"{key} = {val}")
     print(f"# wrote {path}")
@@ -195,17 +188,11 @@ def _cmd_sweep(args) -> int:
         theta = theta_n(ops, lap, args.m, args.n)
         for K in args.K:
             rows.append((kind.strip(), K, theta, alpha_star(K, sp)))
-    header = "graph,K,theta_n,alpha_star"
-    print(header)
-    for r in rows:
-        print(f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}")
+    lines = ["graph,K,theta_n,alpha_star"]
+    lines += [f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}" for r in rows]
+    print("\n".join(lines))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for r in rows:
-                fh.write(f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}\n")
+        _write_output(args.out, "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 

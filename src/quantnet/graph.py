@@ -1,7 +1,8 @@
 """Undirected graphs, Laplacians, and symmetric-spectrum utilities.
 
 Every other part of the library consumes graphs through this module: the
-solver needs the edge list, and the parameter calculus needs the
+solver and the stacked product need the arcs (:attr:`Graph.arcs`, the one
+arc order), and the parameter calculus needs the
 Laplacian's algebraic connectivity (second-smallest eigenvalue), its largest
 eigenvalue, and the maximum node degree.
 """
@@ -9,7 +10,8 @@ eigenvalue, and the maximum node degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +19,7 @@ __all__ = [
     "Graph",
     "LaplacianSummary",
     "build_laplacian",
+    "per_receiver_sum",
     "generate_graph",
     "sym_eig_extremes",
     "lanczos_extremes",
@@ -43,59 +46,73 @@ class Graph:
             if not (1 <= i < j <= self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range or unordered")
 
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.node_count, dtype=int)
-        for (i, j) in self.edges:
-            d[i - 1] += 1
-            d[j - 1] += 1
-        return d
+    @cached_property
+    def arcs(self) -> tuple:
+        """Read-only 0-based (receiver, sender) arrays of the 2E arcs, both
+        directions of every edge, sorted by receiver, then sender. The one
+        arc order: the Laplacian, the solver's decoders and draws, and every
+        per-receiver sum follow it."""
+        n = self.node_count
+        e = np.fromiter(itertools.chain.from_iterable(self.edges),
+                        dtype=np.intp, count=2 * len(self.edges))
+        i, j = e.reshape(-1, 2).T - 1
+        # one sort of the unique keys receiver * n + sender; np.lexsort of
+        # the pairs took 1.1 ms against 0.15 ms at E = 4455
+        key = np.sort(np.concatenate((i * n + j, j * n + i)))
+        recv, send = np.divmod(key, n)
+        recv.flags.writeable = send.flags.writeable = False
+        return recv, send
 
-    def neighbors(self, i: int) -> list:
-        """Sorted 1-based neighbor list of node i."""
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.arcs[0], minlength=self.node_count)
 
     def is_connected(self) -> bool:
-        return _connected(self.node_count, _edge_array(self.edges))
+        return _connected(self.node_count, *self.arcs)
 
 
 @dataclass(frozen=True)
 class LaplacianSummary:
-    """Laplacian matrix with the spectral quantities used downstream."""
+    """Laplacian matrix with the spectral quantities used downstream, and
+    the graph's arcs (:attr:`Graph.arcs`) and node degrees."""
 
     L: np.ndarray
     lambda2: float
     lambdaN: float
-    dstar: int
-    node_count: int = field(default=0)
+    node_count: int
+    arcs: tuple
+    degrees: np.ndarray
+
+    @property
+    def dstar(self) -> int:
+        """Maximum node degree."""
+        return int(self.degrees.max())
 
 
-def _edge_array(edges) -> np.ndarray:
-    """(E, 2) array of zero-based node pairs of a set of 1-based edges."""
-    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges)).reshape(-1, 2) - 1
+def per_receiver_sum(recv: np.ndarray, n: int, m: int):
+    """v -> (n, m) sums per receiver of v, the (len(recv), m) values on
+    arcs with receivers ``recv``, added in arc order: one np.bincount over
+    a flat (receiver, coordinate) index that is built once, here."""
+    flat = (recv[:, None] * m + np.arange(m)).ravel()
+
+    def summed(v: np.ndarray) -> np.ndarray:
+        return np.bincount(flat, weights=v.ravel(),
+                           minlength=n * m).reshape(n, m)
+    return summed
 
 
-def _connected(n: int, ij: np.ndarray) -> bool:
-    """Whether the n-node graph with zero-based edge pairs ``ij`` is
-    connected, by label propagation. Every node starts labelled with itself.
-    Each pass hooks, for every edge (u, v), the node named by u's label to
-    v's label where that is smaller (and the other way round), then replaces
-    every label by its label's label. Labels only fall, so the passes stop.
-    A pass that changes nothing leaves both ends of every edge with one
-    label, and a label never leaves its component: the graph is connected
-    when every node carries node 0's label, 0."""
+def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the n-node graph with zero-based arcs (u, v) is connected,
+    by label propagation; every edge must appear as both of its arcs.
+    Every node starts labelled with itself. Each pass hooks, for every arc
+    (u, v), the node named by u's label to v's label where that is smaller,
+    then replaces every label by its label's label. Labels only fall, so
+    the passes stop. A pass that changes nothing leaves both ends of every
+    edge with one label, and a label never leaves its component: the graph
+    is connected when every node carries node 0's label, 0."""
     label = np.arange(n)
-    u, v = ij[:, 0], ij[:, 1]
     while True:
         new = label.copy()
         np.minimum.at(new, label[u], label[v])
-        np.minimum.at(new, label[v], label[u])
         new = new[new]
         if np.array_equal(new, label):
             return bool((label == 0).all())
@@ -238,23 +255,23 @@ def lanczos_extremes(apply, dim: int, max_iter: int):
 def build_laplacian(g: Graph) -> LaplacianSummary:
     """Laplacian L = degree matrix - adjacency, with spectral summary.
 
-    L is assembled from the edge array with integer entries, so row sums
-    are exactly zero. One symmetric eigensolve gives both lambda2 (the
+    L is assembled from :attr:`Graph.arcs` with integer entries, so row
+    sums are exactly zero. One symmetric eigensolve gives both lambda2 (the
     second-smallest eigenvalue, the algebraic connectivity) and lambdaN.
     Raises ValueError for a disconnected graph.
     """
     n = g.node_count
-    ij = _edge_array(g.edges)
-    if not _connected(n, ij):
+    recv, send = g.arcs
+    if not _connected(n, recv, send):
         raise ValueError("graph not connected")
+    deg = g.degrees()
     L = np.zeros((n, n))
-    L[ij[:, 0], ij[:, 1]] = -1.0
-    L[ij[:, 1], ij[:, 0]] = -1.0
-    L[np.diag_indices(n)] = np.bincount(ij.ravel(), minlength=n)
+    L[recv, send] = -1.0
+    L[np.diag_indices(n)] = deg
     vals = np.linalg.eigvalsh(L)
     return LaplacianSummary(L=L, lambda2=float(vals[1]),
-                            lambdaN=float(vals[-1]),
-                            dstar=int(L.diagonal().max()), node_count=n)
+                            lambdaN=float(vals[-1]), node_count=n,
+                            arcs=g.arcs, degrees=deg)
 
 
 def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
@@ -283,8 +300,10 @@ def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
         pairs = np.column_stack(np.triu_indices(n, 1))
         for attempt in range(10_000):
             keep = np.random.default_rng(seed + attempt).random(len(pairs)) < p
-            if keep.any() and _connected(n, pairs[keep]):
-                i, j = (pairs[keep] + 1).T.tolist()
+            kept = pairs[keep]
+            arcs = np.concatenate((kept, kept[:, ::-1])).T
+            if keep.any() and _connected(n, *arcs):
+                i, j = (kept + 1).T.tolist()
                 return Graph(n, frozenset(zip(i, j)), retries=attempt)
         raise RuntimeError("no connected graph found after 10000 attempts")
     raise ValueError(f"unknown graph kind {kind!r}")

@@ -456,13 +456,14 @@ def _five_node_spectral():
     return p, g, lap, ops, spectral_data(ops, lap, p.dim, p.n_nodes)
 
 
-def _write_trace(tr: Trace, out_dir, name, paths):
-    if out_dir is None:
-        return
+def _write_output(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``, creating ``out_dir`` if needed,
+    and return the path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    tr.save_csv(path)
-    paths.append(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
@@ -475,7 +476,9 @@ def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
                           max_rounds=c["max_rounds"])
         tr = run_exact(p, g, cfg)
         traces.append(tr)
-        _write_trace(tr, out_dir, f"ex1_thm1_K{K}.csv", paths)
+        if out_dir is not None:
+            paths.append(_write_output(out_dir, f"ex1_thm1_K{K}.csv",
+                                       tr.csv_text()))
     checks = []
     ident = all(traces_dynamics_equal(traces[0], t) for t in traces[1:])
     checks.append(("traces_identical_across_K", ident,
@@ -503,7 +506,9 @@ def _reproduce_ex1_thm2(out_dir) -> RunArtifacts:
         cfg = ExactConfig(h=h, alpha=alpha, s0=s0, K=K,
                           max_rounds=c["max_rounds"])
         tr = run_exact(p, g, cfg)
-        _write_trace(tr, out_dir, f"ex1_thm2_K{K}.csv", paths)
+        if out_dir is not None:
+            paths.append(_write_output(out_dir, f"ex1_thm2_K{K}.csv",
+                                       tr.csv_text()))
         finals.append(float(tr.err2[-1]))
         converged = tr.err2[-1] < 1e-2 * tr.err2[0]
         checks.append((f"converging_K{K}", bool(converged),
@@ -544,13 +549,9 @@ def _reproduce_ex2(out_dir) -> RunArtifacts:
     checks.append(("alpha_star_above_lower_bound", lower, ""))
     paths = []
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "ex2_alpha_star.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("K,K_theta,alpha_star,exp_neg_K_theta\n")
-            for (K, t, a, e) in rows:
-                fh.write(f"{K},{t:.17g},{a:.17g},{e:.17g}\n")
-        paths.append(path)
+        text = "K,K_theta,alpha_star,exp_neg_K_theta\n" + "".join(
+            f"{K},{t:.17g},{a:.17g},{e:.17g}\n" for (K, t, a, e) in rows)
+        paths.append(_write_output(out_dir, "ex2_alpha_star.csv", text))
     return RunArtifacts("ex2", paths, {"theta": theta, "rows": rows}, checks)
 
 
@@ -584,13 +585,9 @@ def _reproduce_ex3(out_dir, graphs_per_p: int | None = None) -> RunArtifacts:
     ]
     paths = []
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "ex3_theta_sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("p,mean_theta\n")
-            for p, mt in zip(c["p_values"], means):
-                fh.write(f"{p:.17g},{mt:.17g}\n")
-        paths.append(path)
+        text = "p,mean_theta\n" + "".join(
+            f"{p:.17g},{mt:.17g}\n" for p, mt in zip(c["p_values"], means))
+        paths.append(_write_output(out_dir, "ex3_theta_sweep.csv", text))
     return RunArtifacts("ex3", paths, {"named": named, "means": means}, checks)
 
 
@@ -605,7 +602,9 @@ def _reproduce_ex4_thm3(out_dir) -> RunArtifacts:
                        max_rounds=c["max_rounds"])
         tr = run_ls(p, g, cfg)
         traces.append(tr)
-        _write_trace(tr, out_dir, f"ex4_thm3_K{K}.csv", paths)
+        if out_dir is not None:
+            paths.append(_write_output(out_dir, f"ex4_thm3_K{K}.csv",
+                                       tr.csv_text()))
     tref = traces[c["K_list"].index(900)]
     final_inf = float(tref.err_inf_per_node[-1].max())
     tail = tref.ratio_err_gamma[10000:]
@@ -634,7 +633,9 @@ def _reproduce_ex4_thm4(out_dir) -> RunArtifacts:
                        gamma=GammaSchedule(k0=k0, delta=delta),
                        max_rounds=c["max_rounds"])
         tr = run_ls(p, g, cfg)
-        _write_trace(tr, out_dir, f"ex4_thm4_K{K}.csv", paths)
+        if out_dir is not None:
+            paths.append(_write_output(out_dir, f"ex4_thm4_K{K}.csv",
+                                       tr.csv_text()))
         hit = np.nonzero(tr.err2 <= threshold)[0]
         reach.append(int(hit[0]) if hit.size else None)
         finals.append(float(tr.err2[-1]))
@@ -689,14 +690,9 @@ def _reproduce_robustness(out_dir) -> RunArtifacts:
     ]
     paths = []
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "robustness_medians.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("arm,median_final_err2\n")
-            fh.write(f"damped_roundoff,{med_dr:.17g}\n")
-            fh.write(f"damped_init,{med_di:.17g}\n")
-            fh.write(f"undamped_init,{med_ui:.17g}\n")
-        paths.append(path)
+        text = (f"arm,median_final_err2\ndamped_roundoff,{med_dr:.17g}\n"
+                f"damped_init,{med_di:.17g}\nundamped_init,{med_ui:.17g}\n")
+        paths.append(_write_output(out_dir, "robustness_medians.csv", text))
     summary = {"damped_roundoff": med_dr, "damped_init": med_di,
                "undamped_init": med_ui}
     return RunArtifacts("robustness", paths, summary, checks)

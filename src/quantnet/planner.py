@@ -37,12 +37,15 @@ __all__ = [
     "h_star_ls",
     "sr_lower_bound",
     "plan_ls",
-    "gamma_schedule",
 ]
 
 # guard band applied before the ceiling so that values sitting within
 # floating-point noise of an integer do not round up spuriously
 _CEIL_GUARD = 1e-9
+# alpha_star's eps grid spacing, and the fraction of the gain limit h* it
+# takes at each grid point (just inside the limit)
+_ALPHA_STAR_EPS_STEP = 1e-3
+_ALPHA_STAR_H_FRACTION = 0.999
 
 
 @dataclass(frozen=True)
@@ -210,18 +213,17 @@ def plan_exact(K: int, eps: float, sp: SpectralData,
                      eps=eps, h_star=h_star, K=K, member=True)
 
 
-def alpha_star(K: int, sp: SpectralData, eps_step: float = 1e-3,
-               h_fraction: float = 0.999) -> float:
+def alpha_star(K: int, sp: SpectralData) -> float:
     """Smallest feasible scale-decay factor for alphabet parameter K.
 
-    Scans the eps parametrization on a grid (default spacing 1e-3) with the
-    gain taken just inside its upper limit; the reported value carries the
-    grid resolution as its accuracy.
+    Scans the eps parametrization on a grid of spacing 1e-3 with the gain
+    taken just inside its upper limit (0.999 h*); the reported value carries
+    the grid resolution as its accuracy.
     """
-    eps_grid = np.arange(eps_step, 1.0, eps_step)
+    eps_grid = np.arange(_ALPHA_STAR_EPS_STEP, 1.0, _ALPHA_STAR_EPS_STEP)
     best = None
     for eps in eps_grid:
-        h = h_fraction * h_star_exact(K, float(eps), sp)
+        h = _ALPHA_STAR_H_FRACTION * h_star_exact(K, float(eps), sp)
         if h <= 0.0:
             continue
         alpha = 1.0 - (1.0 - float(eps)) * h * sp.fd_min
@@ -327,8 +329,3 @@ def plan_ls(K: int, eps: float, sp: SpectralData, delta: float,
                   Kmin_ls_raw=kmin_raw, Kmin_ls=max(1, kmin_raw),
                   sr_min=sr_lower_bound(h, K, cx, sp, m1, m2),
                   gamma=sched, eps=eps, h_star_ls=h_star, K=K, member=True)
-
-
-def gamma_schedule(k0: float, delta: float) -> GammaSchedule:
-    """Diminishing-gain schedule gamma(k) = (k0/(k+k0))**delta."""
-    return GammaSchedule(k0=k0, delta=delta)

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import LaplacianSummary, lanczos_extremes, sym_eig_extremes
+from .graph import (LaplacianSummary, lanczos_extremes, per_receiver_sum,
+                    sym_eig_extremes)
 
 __all__ = [
     "LinearProblem",
@@ -140,7 +141,7 @@ LANCZOS_MAX_ITER = 2000
 
 
 def _check_sizes(p: LinearProblem, lap: LaplacianSummary) -> None:
-    if lap.L.shape[0] != p.n_nodes:
+    if lap.node_count != p.n_nodes:
         raise ValueError("graph size does not match the problem")
 
 
@@ -161,33 +162,32 @@ def _dense_fd(p: LinearProblem, lap: LaplacianSummary) -> np.ndarray:
 def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
     """v -> Fd v without forming Fd: (L kron I_m) v, plus H rowdot(H, v).
 
-    L is a simple graph's Laplacian (unit weights), with E edges. On a dense
-    graph (16 E >= N^2) the Laplacian term is the product L @ V with the
-    N x N L that the summary already holds; otherwise it is degree times V
-    minus the per-receiver sums over the directed edges (one np.bincount).
+    L is a simple graph's Laplacian (unit weights), with E edges and the
+    2E arcs of ``lap.arcs``. On a dense graph (16 E >= N^2) the Laplacian
+    term is the product L @ V with the N x N L that the summary already
+    holds; otherwise it is degree times V minus the per-receiver sums over
+    the arcs (:func:`~quantnet.graph.per_receiver_sum`).
     Measured per product, one BLAS thread: L @ V costs 0.4-1.7 ns per entry
-    of L at N = 1000, the edge list 4-7 ns per directed edge and column.
+    of L at N = 1000, the edge list 4-7 ns per arc and column.
     So at N = 1000 the edge list won on graphs with up to 5% of all edges
     (0.25 against 1.3 ms at 2%, m = 3), L @ V from 10-20% on, for m in
     {1, 3, 10} (1.4 against 8.7 ms at 50%). The rule sits at 1/8.
     Smaller graphs favour L @ V from lower densities; the worst case left on
     the edge list was N = 300, m = 10 at 10% (0.33 against 0.09 ms).
     """
-    n, m, H, L = p.n_nodes, p.dim, p.H, lap.L
-    deg = np.diag(L)[:, None]
-    if 8 * deg.sum() >= n * n:          # 16 E >= N^2, as deg.sum() = 2 E
+    n, m, H = p.n_nodes, p.dim, p.H
+    recv, send = lap.arcs
+    if 8 * len(recv) >= n * n:          # 16 E >= N^2, as there are 2E arcs
+        L = lap.L
+
         def laplacian(V):
             return L @ V
     else:
-        recv, send = np.nonzero(L)      # row-major: (receiver, sender) order
-        off = recv != send
-        recv, send = recv[off], send[off]
-        flat = (recv[:, None] * m + np.arange(m)).ravel()
+        deg = lap.degrees[:, None]
+        heard = per_receiver_sum(recv, n, m)
 
         def laplacian(V):
-            heard = np.bincount(flat, weights=V.take(send, axis=0).ravel(),
-                                minlength=n * m).reshape(n, m)
-            return deg * V - heard
+            return deg * V - heard(V.take(send, axis=0))
 
     def apply(v):
         V = v.reshape(n, m)

@@ -14,18 +14,19 @@ A robust variant damps the codec states and injects initialization errors
 and round-off noise (:class:`~quantnet.codec.NoiseModel`).
 
 State: node i holds x_i and its encoder predictor b_i, both (N, m)
-arrays. Each directed edge i <- j holds a decoder xhat_ij, node i's
-reconstruction of b_j; the decoders form one (2E, m) array sorted by
-(receiver, sender), and the consensus term sums them per receiver in that
-order. A round therefore costs O(E*m) time and memory. All nodes advance
-in lockstep from round-(k-1) state.
+arrays. Each arc (directed edge) i <- j holds a decoder xhat_ij, node i's
+reconstruction of b_j. The decoders form one (2E, m) array in the order of
+:attr:`~quantnet.graph.Graph.arcs`, sorted by (receiver, sender), and the
+consensus term sums them per receiver in that order
+(:func:`~quantnet.graph.per_receiver_sum`). A round therefore costs
+O(E*m) time and memory. All nodes advance in lockstep from round-(k-1)
+state.
 
 Draw order (documented, fixed): with ``cx`` set, x(0) is uniform in
 [-cx, cx] from ``cfg.seed``. Robust mode draws from ``noise.seed``:
 encoder initialization errors for nodes 1..N, then decoder initialization
-errors for the directed edges in (receiver, sender) order; per round,
-encoder round-off noise for nodes 1..N, then decoder round-off noise in
-the same edge order.
+errors for the arcs in ``Graph.arcs`` order; per round, encoder round-off
+noise for nodes 1..N, then decoder round-off noise in the same arc order.
 
 :func:`iter_rounds` is the one round kernel. ``run_exact``, ``run_ls`` and
 ``run_robust`` record a :class:`Trace` from it, and ``quantnet
@@ -68,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import NoiseModel, QuantizerSpec, quantize_vec
-from .graph import Graph, build_laplacian
+from .graph import Graph, build_laplacian, per_receiver_sum
 from .problem import LinearProblem, classify, stacked_extremes
 
 __all__ = [
@@ -300,19 +301,10 @@ class RoundState(NamedTuple):
     k: int
     x: np.ndarray               # (N, m) node states
     b: np.ndarray               # (N, m) encoder predictors
-    xhat: np.ndarray            # (2E, m) decoders, (receiver, sender) order
+    xhat: np.ndarray            # (2E, m) decoders, Graph.arcs order
     q: np.ndarray | None        # (N, m) symbols sent in round k (k >= 1)
     peaks: np.ndarray | None    # (N,) largest |quantizer input| (k >= 1)
     drift: float | None         # with noise, k >= 1: max |xhat_ij - b_j|
-
-
-def _directed_edges(g: Graph) -> tuple:
-    """0-based (receiver, sender) arrays of the 2E directed edges, sorted."""
-    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2) - 1
-    recv = np.concatenate([e[:, 0], e[:, 1]])
-    send = np.concatenate([e[:, 1], e[:, 0]])
-    order = np.lexsort((send, recv))
-    return recv[order], send[order]
 
 
 def iter_rounds(p: LinearProblem, g: Graph, cfg,
@@ -326,9 +318,8 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     quantizer input is not finite.
     """
     n, m = p.n_nodes, p.dim
-    recv, send = _directed_edges(g)
-    deg = np.bincount(recv, minlength=n)
-    flat = (recv[:, None] * m + np.arange(m)).ravel()  # (receiver, coord)
+    recv, send = g.arcs
+    heard_by = per_receiver_sum(recv, n, m)
     x = _initial_states(p, cfg.x0, cfg.cx, cfg.seed)
     b = np.zeros((n, m))
     xhat = np.zeros((len(recv), m))
@@ -345,15 +336,14 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     ls = isinstance(cfg, LSConfig)
     damped = damping != 1.0
     H, z, h, K = p.H, p.z, cfg.h, cfg.K
-    degc = deg[:, None]
+    degc = g.degrees()[:, None]
     if ls:
         gamma, s_r = cfg.gamma.gamma, cfg.s_r
     for k in range(1, cfg.max_rounds + 1):
         # state update from round-(k-1) information; the consensus term is
         # zero at the first update when the codec states start at rest
         grad = (np.einsum("ij,ij->i", H, x) - z)[:, None] * H
-        heard = np.bincount(flat, weights=xhat.ravel(),
-                            minlength=n * m).reshape(n, m)
+        heard = heard_by(xhat)
         if ls:
             gain = gamma(k - 1)
             s_prev = s_r * gain
@@ -408,8 +398,8 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
 
     bits_per_coord = QuantizerSpec(cfg.K).bits_per_coord
     bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)
-    # symbols sent per nonzero level: one per directed edge out of the node
-    fanout = np.bincount(_directed_edges(g)[1], minlength=n)
+    # symbols sent per nonzero level: one per arc out of the node, its degree
+    fanout = g.degrees()
 
     # Per round only err2 (the stop test reads it) is computed; x, the
     # peaks and the symbols go into block buffers, which are reduced to the

@@ -173,6 +173,36 @@ def test_connectivity_matches_breadth_first_search():
     assert seen == {True, False}
 
 
+
+def test_arcs_and_degrees_match_references():
+    rng = np.random.default_rng(21)
+    graphs = [generate_graph(kind, 7) for kind in ("cycle", "star",
+                                                   "complete")]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        graphs.append(generate_graph("erdos_renyi", n, rng.uniform(0.05, 1),
+                                     seed=int(rng.integers(1000))))
+    for g in graphs:
+        n = g.node_count
+        recv, send = g.arcs
+        assert g.arcs is g.arcs and not recv.flags.writeable
+        # lexicographic (receiver, sender) order of both arcs of each edge
+        ref = sorted((a - 1, b - 1) for (i, j) in g.edges
+                     for (a, b) in ((i, j), (j, i)))
+        assert list(zip(recv.tolist(), send.tolist())) == ref
+        L = build_laplacian(g).L
+        off = np.nonzero(L - np.diag(np.diag(L)))
+        assert np.array_equal(recv, off[0]) and np.array_equal(send, off[1])
+        counts = [sum(v in e for e in g.edges) for v in range(1, n + 1)]
+        assert g.degrees().tolist() == counts
+        V = rng.standard_normal((len(recv), 3))
+        heard = np.zeros((n, 3))
+        np.add.at(heard, recv, V)
+        assert np.allclose(graph.per_receiver_sum(recv, n, 3)(V), heard,
+                           rtol=1e-13, atol=1e-13)
+    empty = Graph(3, frozenset())
+    assert empty.arcs[0].size == 0 and empty.degrees().tolist() == [0, 0, 0]
+
 def test_ritz_check_matches_dense_tridiagonal():
     rng = np.random.default_rng(8)
     for k in (1, 2, 7, 60):

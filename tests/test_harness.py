@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,44 @@ def test_summary_recompute():
 def test_reproduce_unknown_id():
     with pytest.raises(ValueError, match="unknown example id"):
         reproduce("ex99")
+
+
+@pytest.mark.parametrize("example_id", ["ex1_thm1", "ex2", "ex3"])
+def test_reproduce_writes_csvs_that_match_the_summary(example_id, tmp_path):
+    options = {"graphs_per_p": 2} if example_id == "ex3" else {}
+    arts = reproduce(example_id, out_dir=tmp_path, **options)
+    assert arts.ok
+    tables = {}
+    for path in arts.trace_paths:
+        assert os.path.dirname(path) == str(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            tables[os.path.basename(path)] = [
+                line.split(",") for line in fh.read().splitlines()
+                if not line.startswith("#")]
+    s = arts.summary
+    if example_id == "ex1_thm1":
+        K_list = CONSTANTS["ex1_thm1"]["K_list"]
+        assert sorted(tables) == sorted(f"ex1_thm1_K{K}.csv" for K in K_list)
+        first = tables[f"ex1_thm1_K{K_list[0]}.csv"]
+        assert len(first) == 1 + s["rounds"] + 1      # header, rounds 0..k
+        last = dict(zip(first[0], first[-1]))
+        assert int(last["k"]) == s["rounds"]
+        assert float(last["err2"]) == s["final_err2"]
+        assert int(last["saturation_count"]) == s["saturation_total"]
+        assert int(last["bits_cum"]) == s["bits_total"]
+        for rows in tables.values():    # the same dynamics for every K
+            assert [r[1] for r in rows] == [r[1] for r in first]
+    elif example_id == "ex2":
+        header, *rows = tables.pop("ex2_alpha_star.csv")
+        assert not tables
+        assert header == ["K", "K_theta", "alpha_star", "exp_neg_K_theta"]
+        assert [(int(K), float(t), float(a), float(e))
+                for K, t, a, e in rows] == s["rows"]
+    else:
+        header, *rows = tables.pop("ex3_theta_sweep.csv")
+        assert not tables and header == ["p", "mean_theta"]
+        assert [float(p) for p, _ in rows] == CONSTANTS["ex3"]["p_values"]
+        assert [float(mt) for _, mt in rows] == s["means"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from quantnet.planner import (alpha_star, gamma_schedule, h_hat_exact,
-                              h_hat_ls, h_star_exact, kmin_from_m, m_prime,
-                              m_value, plan_exact, plan_ls, s0_lower_bound,
+from quantnet.planner import (alpha_star, h_hat_exact, h_hat_ls,
+                              h_star_exact, kmin_from_m, m_prime, m_value,
+                              plan_exact, plan_ls, s0_lower_bound,
                               sr_lower_bound, xi_ls_membership, xi_membership)
+from quantnet.solver import GammaSchedule
 
 
 def test_kmin_from_m():
@@ -172,7 +173,7 @@ def test_sr_lower_bound_branches(ex4_setting):
 
 
 def test_gamma_schedule_k0_beta0_roundtrip():
-    sched = gamma_schedule(26.0, 0.85)
+    sched = GammaSchedule(k0=26.0, delta=0.85)
     beta0 = sched.beta0
     k0_back = 1.0 / (beta0 ** (1.0 / 0.85) - 1.0)
     assert k0_back == pytest.approx(26.0, rel=1e-12)

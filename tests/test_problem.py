@@ -122,7 +122,7 @@ def test_problem_text_errors():
 
 def _above_dense_size(kind, m, p=None):
     """A random system and a graph Laplacian with m*N just above
-    DENSE_MAX_DIM, L assembled here with numpy."""
+    DENSE_MAX_DIM, L and the arcs assembled here with numpy."""
     n = DENSE_MAX_DIM // m + 1
     A = np.zeros((n, n))
     if kind == "cycle":
@@ -134,9 +134,10 @@ def _above_dense_size(kind, m, p=None):
     else:   # Erdos-Renyi
         A = np.triu(np.random.default_rng(5).random((n, n)) < p, 1) * 1.0
     A += A.T
+    recv, send = np.nonzero(A)          # row-major: (receiver, sender) order
     lap = LaplacianSummary(L=np.diag(A.sum(axis=1)) - A, lambda2=np.nan,
-                           lambdaN=np.nan, dstar=int(A.sum(axis=1).max()),
-                           node_count=n)
+                           lambdaN=np.nan, node_count=n, arcs=(recv, send),
+                           degrees=np.bincount(recv, minlength=n))
     return random_problem(n, m, "exact", seed=5), lap
 
 

@@ -1,5 +1,5 @@
-"""Digest the outputs of 15 fixed solver runs, to check that a change keeps
-every bit.
+"""Digest the outputs of 15 fixed solver runs, and three stacked spectra
+above the dense size, to check that a change keeps every bit.
 
 Each run's digest is sha256 over its ``csv_text()`` and the raw bytes of
 ``x_final``, ``err_inf_per_node`` and ``drift`` (when the run has one). The
@@ -20,6 +20,15 @@ eigensolve:
   with a random m = 3 system. The robust ones use damping 0.95,
   initialization errors and round-off, and the ER robust run uses an
   alphabet small enough to saturate.
+
+A separate ``spectra`` digest is sha256 over the float64 bytes of
+``stacked_extremes`` (fd_min, fd_max) for three systems above
+``DENSE_MAX_DIM``, so they come from Lanczos on the matrix-free stacked
+product:
+
+* the ex3 system on ER(100, 0.1), whose product sums over the arcs;
+* the ex3 system on ER(100, 0.5), whose product is the dense ``L @ V``;
+* a random m = 3 system on the 1000-node cycle, over the arcs.
 
 BLAS is pinned to one thread, so the dense eigensolves take one path.
 """
@@ -44,7 +53,7 @@ from quantnet.codec import NoiseModel  # noqa: E402
 from quantnet.graph import build_laplacian, generate_graph  # noqa: E402
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
                               builtin_problem, random_problem)
-from quantnet.problem import stacked_extremes  # noqa: E402
+from quantnet.problem import LinearProblem, stacked_extremes  # noqa: E402
 from quantnet.solver import (ExactConfig, GammaSchedule,  # noqa: E402
                              LSConfig, run_exact, run_ls, run_robust)
 
@@ -113,6 +122,17 @@ def network_runs():
                lambda p=p, g=g, rcfg=rcfg: run_robust(p, g, rcfg, noise))
 
 
+def spectra_cases():
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    ex3 = LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z)
+    for p in (0.1, 0.5):
+        g = generate_graph("erdos_renyi", c["n"], p, seed=c["seed"])
+        yield f"ex3_er100_p{p}", ex3, g
+    yield ("cycle1000_m3", random_problem(1000, 3, "exact", seed=6),
+           generate_graph("cycle", 1000))
+
+
 def main() -> None:
     combined = hashlib.sha256()
     with warnings.catch_warnings():
@@ -124,6 +144,12 @@ def main() -> None:
             print(f"{name:28s} rounds={tr.rounds:6d} "
                   f"sat={int(tr.saturation_count[-1]):6d} {d}")
     print(f"{'combined':28s} {combined.hexdigest()}")
+    spectra = hashlib.sha256()
+    for name, p, g in spectra_cases():
+        ext = stacked_extremes(p, build_laplacian(g))
+        spectra.update(np.array(ext, dtype=float).tobytes())
+        print(f"{name:28s} fd_min={ext[0]!r} fd_max={ext[1]!r}")
+    print(f"{'spectra':28s} {spectra.hexdigest()}")
 
 
 if __name__ == "__main__":
