@@ -17,8 +17,8 @@ from .harness import (_solver_config, _write_output, build_graph,
                       load_config, random_problem, reproduce, run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
-from .planner import (alpha_star, plan_exact, plan_ls, spectral_data,
-                      xi_membership, xi_ls_membership)
+from .planner import (alpha_star, plan_exact, plan_ls, xi_membership,
+                      xi_ls_membership)
 from .problem import (LinearProblem, build_stacked, classify, load_problem,
                       theta_n)
 from .solver import LSConfig, iter_rounds
@@ -37,15 +37,13 @@ def _load_named_graph(spec: str) -> Graph:
 
 
 def _spectral(problem: LinearProblem, graph: Graph):
-    lap = build_laplacian(graph)
-    ops = build_stacked(problem, lap)
-    return lap, ops, spectral_data(ops, lap, problem.dim, problem.n_nodes)
+    return build_stacked(problem, build_laplacian(graph))
 
 
 def _cmd_plan(args) -> int:
     p = _load_named_problem(args.problem)
     g = _load_named_graph(args.graph)
-    _, _, sp = _spectral(p, g)
+    sp = _spectral(p, g)
     rows = []
     if args.kind == "exact":
         plan = plan_exact(args.K, args.eps, sp, cx=args.cx, cw=args.cw,
@@ -121,13 +119,13 @@ def _cmd_oracle_check(args) -> int:
 def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
     """Largest per-round relative deviation of the solver's own rounds from
     the matrix-form recursion, both started from the solver's x(0)."""
-    lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
+    ops = _spectral(p, g)
     ls = isinstance(cfg, LSConfig)
     if ls:
-        lops = make_ls_operators(ops, lap, p.dim)
+        lops = make_ls_operators(ops, ops.lap, p.dim)
     else:
-        eops = make_exact_operators(ops, lap, cfg.h, classify(p).solution)
+        eops = make_exact_operators(ops, ops.lap, cfg.h,
+                                    classify(p).solution)
     dev = 0.0
     for st in iter_rounds(p, g, cfg):
         k, x = st.k, st.x.reshape(-1)
@@ -157,8 +155,8 @@ def _cmd_alpha_star(args) -> int:
         g = generate_graph(args.graph, p.n_nodes)
     else:
         g = _load_named_graph(args.graph)
-    lap, ops, sp = _spectral(p, g)
-    theta = theta_n(ops, lap, p.dim, p.n_nodes)
+    sp = _spectral(p, g)
+    theta = theta_n(sp, sp.lap, sp.m, sp.n)
     print(f"theta_n = {theta:.17g}")
     for K in args.K:
         a = alpha_star(K, sp)
@@ -184,8 +182,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     for kind in args.graph_kinds.split(","):
         g = generate_graph(kind.strip(), args.n, args.p, args.seed or 0)
-        lap, ops, sp = _spectral(p, g)
-        theta = theta_n(ops, lap, args.m, args.n)
+        sp = _spectral(p, g)
+        theta = theta_n(sp, sp.lap, sp.m, sp.n)
         for K in args.K:
             rows.append((kind.strip(), K, theta, alpha_star(K, sp)))
     lines = ["graph,K,theta_n,alpha_star"]

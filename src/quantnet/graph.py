@@ -31,7 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected, simple, connected-checked graph on nodes 1..N."""
+    """Undirected, simple graph on nodes 1..N.
+
+    The constructor accepts a disconnected graph; :func:`build_laplacian`
+    and :func:`generate_graph` check connectivity."""
 
     node_count: int
     edges: frozenset  # frozenset of (i, j) tuples with i < j, 1-based

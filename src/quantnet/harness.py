@@ -17,8 +17,7 @@ import numpy as np
 
 from .codec import NoiseModel
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .planner import (alpha_star, kmin_from_m, m_value, spectral_data,
-                      xi_membership)
+from .planner import alpha_star, kmin_from_m, m_value, xi_membership
 from .problem import (LinearProblem, build_stacked, classify, load_problem,
                       theta_n)
 from .solver import (ExactConfig, GammaSchedule, LSConfig, Trace,
@@ -249,6 +248,12 @@ def _validate_semantics(values: dict) -> None:
                   "gamma.k0", "gamma.delta"):
             if k not in values:
                 raise ValueError(f"missing required key '{k}' for ls mode")
+    if mode == "baseline" and "solver.h" not in values:
+        raise ValueError("missing required key 'solver.h' for baseline mode")
+    for k, other in (("gamma.k0", "gamma.delta"), ("gamma.delta", "gamma.k0")):
+        if other in values and k not in values:
+            raise ValueError(f"missing required key '{k}': gamma.k0 and "
+                             "gamma.delta come as a pair")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -356,11 +361,9 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
     """
     from .oracle import unquantized_step
 
-    lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
+    ops = build_stacked(p, build_laplacian(g))
     cls = classify(p)
     n, m = p.n_nodes, p.dim
-    Lm = np.kron(lap.L, np.eye(m))
     h = cfg.get("solver.h")
     max_rounds = cfg.get("max_rounds", 3000)
     stop_tol = cfg.get("stop_tol", 1e-12)
@@ -377,7 +380,7 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
     stop_reason = "max_rounds"
     for k in range(1, max_rounds + 1):
         gk = float(sched.gamma(k - 1)) if sched else 1.0
-        x = unquantized_step(x, h, gk, Lm, ops.Hd, ops.zH)
+        x = unquantized_step(x, h, gk, ops.Lm, ops.Hd, ops.zH)
         e2 = float(np.linalg.norm(x - target))
         rec_k.append(k)
         rec_err2.append(e2)
@@ -449,11 +452,9 @@ class RunArtifacts:
 
 
 def _five_node_spectral():
-    p = builtin_problem("ex1")
+    """The fig1 graph and the summary of the ex1 system on it."""
     g = builtin_graph()
-    lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
-    return p, g, lap, ops, spectral_data(ops, lap, p.dim, p.n_nodes)
+    return g, build_stacked(builtin_problem("ex1"), build_laplacian(g))
 
 
 def _write_output(out_dir, name: str, text: str) -> str:
@@ -468,8 +469,9 @@ def _write_output(out_dir, name: str, text: str) -> str:
 
 def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
     c = CONSTANTS["ex1_thm1"]
-    p, g, lap, ops, sp = _five_node_spectral()
-    h = c["h_numerator"] / (ops.fd_min + ops.fd_max)
+    g, sp = _five_node_spectral()
+    p = sp.problem
+    h = c["h_numerator"] / (sp.fd_min + sp.fd_max)
     traces, paths = [], []
     for K in c["K_list"]:
         cfg = ExactConfig(h=h, alpha=c["alpha"], s0=c["s0"], K=K,
@@ -489,7 +491,7 @@ def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
                    f"max ratio {float(np.max(t0.err2[1:] / t0.bound_Bk[1:])):.6g}"))
     checks.append(("no_saturation", int(t0.saturation_count[-1]) == 0,
                    f"events {int(t0.saturation_count[-1])}"))
-    summary = {"h": h, "rho_h": 1.0 - h * ops.fd_min,
+    summary = {"h": h, "rho_h": 1.0 - h * sp.fd_min,
                "kmin": kmin_from_m(m_value(c["alpha"], h, sp)),
                **t0.summary()}
     return RunArtifacts("ex1_thm1", paths, summary, checks)
@@ -497,7 +499,8 @@ def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
 
 def _reproduce_ex1_thm2(out_dir) -> RunArtifacts:
     c = CONSTANTS["ex1_thm2"]
-    p, g, lap, ops, sp = _five_node_spectral()
+    g, sp = _five_node_spectral()
+    p = sp.problem
     checks, paths = [], []
     finals = []
     for (K, alpha, h, s0) in c["rows"]:
@@ -522,18 +525,16 @@ def _reproduce_ex1_thm2(out_dir) -> RunArtifacts:
 
 
 def _ex2_setting():
+    """The summary of the ex2 system on its graph."""
     c = CONSTANTS["ex2"]
     p = random_problem(c["n"], c["m"], "exact", c["seed"])
     g = generate_graph(c["graph"], c["n"])
-    lap = build_laplacian(g)
-    ops = build_stacked(p, lap)
-    sp = spectral_data(ops, lap, c["m"], c["n"])
-    theta = theta_n(ops, lap, c["m"], c["n"])
-    return p, g, sp, theta
+    return build_stacked(p, build_laplacian(g))
 
 
 def _reproduce_ex2(out_dir) -> RunArtifacts:
-    _, _, sp, theta = _ex2_setting()
+    sp = _ex2_setting()
+    theta = theta_n(sp, sp.lap, sp.m, sp.n)
     t_values = [0.005, 0.01, 0.02, 0.05, 0.1]
     rows = []
     for t in t_values:

@@ -42,9 +42,7 @@ class ExactOperators:
 
 def make_exact_operators(ops: StackedOperators, lap: LaplacianSummary,
                          h: float, y_ref: np.ndarray) -> ExactOperators:
-    m = y_ref.shape[0]
-    Lm = np.kron(lap.L, np.eye(m))
-    return ExactOperators(Lm=Lm, Fd=ops.Fd,
+    return ExactOperators(Lm=ops.Lm, Fd=ops.Fd,
                           Ph=np.eye(ops.Fd.shape[0]) - h * ops.Fd,
                           ones_y=np.tile(y_ref, lap.node_count))
 
@@ -99,7 +97,7 @@ def make_ls_operators(ops: StackedOperators, lap: LaplacianSummary,
                       m: int) -> LSOperators:
     n = lap.node_count
     D = np.eye(n) - np.ones((n, n)) / n
-    return LSOperators(Lm=np.kron(lap.L, np.eye(m)), Hd=ops.Hd, zH=ops.zH,
+    return LSOperators(Lm=ops.Lm, Hd=ops.Hd, zH=ops.zH,
                        Dm=np.kron(D, np.eye(m)))
 
 

@@ -1,6 +1,7 @@
 """Closed-form parameter calculus for the quantized solver.
 
-Everything here is pure arithmetic on spectral summaries: how many
+Everything here is pure arithmetic on the spectral summary of a
+(problem, graph) pair, :class:`~quantnet.problem.StackedOperators`: how many
 quantization levels a given (gain, scale-decay) pair needs, how large the
 initial scale must be to rule out saturation, which parameter pairs are
 feasible for a given alphabet size, and the smallest achievable scale-decay
@@ -19,7 +20,6 @@ from .problem import StackedOperators
 from .solver import GammaSchedule
 
 __all__ = [
-    "SpectralData",
     "ExactPlan",
     "LSPlan",
     "spectral_data",
@@ -48,44 +48,16 @@ _ALPHA_STAR_EPS_STEP = 1e-3
 _ALPHA_STAR_H_FRACTION = 0.999
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Bundle of every scalar the closed forms consume."""
-
-    fd_min: float       # extreme eigenvalues of the stacked operator
-    fd_max: float
-    lambda2: float      # Laplacian algebraic connectivity
-    lambdaN: float      # Laplacian largest eigenvalue
-    dstar: int          # maximum node degree
-    m: int
-    n: int
-    hd_inf_norm: float
-    hd_2_norm: float
-    zh_inf_norm: float
-    zh_2_norm: float
-
-    @property
-    def kappa_n(self) -> float:
-        return self.lambdaN / self.lambda2
-
-    @property
-    def h_cap_exact(self) -> float:
-        return 2.0 / (self.fd_min + self.fd_max)
-
-    @property
-    def h_cap_ls(self) -> float:
-        return min(2.0 / (self.lambda2 + self.lambdaN), 1.0 / self.fd_min)
-
-
 def spectral_data(ops: StackedOperators, lap: LaplacianSummary,
-                  m: int, n: int) -> SpectralData:
-    return SpectralData(
-        fd_min=ops.fd_min, fd_max=ops.fd_max,
-        lambda2=lap.lambda2, lambdaN=lap.lambdaN, dstar=lap.dstar,
-        m=m, n=n,
-        hd_inf_norm=ops.hd_inf_norm, hd_2_norm=ops.hd_2_norm,
-        zh_inf_norm=ops.zh_inf_norm, zh_2_norm=ops.zh_2_norm,
-    )
+                  m: int, n: int) -> StackedOperators:
+    """``ops``, the summary every function here reads, once ``lap``, ``m``
+    and ``n`` are checked to be those it was built from."""
+    if lap is not ops.lap:
+        raise ValueError("lap is not the Laplacian the summary was built on")
+    if (m, n) != (ops.m, ops.n):
+        raise ValueError(f"(m, n) = ({m}, {n}) does not match the summary's "
+                         f"({ops.m}, {ops.n})")
+    return ops
 
 
 @dataclass(frozen=True)
@@ -108,7 +80,6 @@ class LSPlan:
     h: float
     beta0: float
     rho_hat: float
-    kappa_n: float
     M1: float
     M2: float
     Mprime: float
@@ -127,7 +98,7 @@ def kmin_from_m(m_val: float) -> int:
     return int(math.ceil(m_val - 0.5 - _CEIL_GUARD * max(1.0, abs(m_val))))
 
 
-def m_value(alpha: float, h: float, sp: SpectralData) -> float:
+def m_value(alpha: float, h: float, sp: StackedOperators) -> float:
     """Required-level functional for the exact mode.
 
     M(alpha, h) = (1 + 2 h d*) / (2 alpha)
@@ -142,7 +113,7 @@ def m_value(alpha: float, h: float, sp: SpectralData) -> float:
 
 
 def s0_lower_bound(alpha: float, h: float, cx: float, cw: float, K: int,
-                   sp: SpectralData) -> float:
+                   sp: StackedOperators) -> float:
     """Smallest admissible initial scale ruling out saturation (exact mode).
 
     max of (cx + h ||Hd||_inf cw) / (K + 1/2)
@@ -159,7 +130,8 @@ def s0_lower_bound(alpha: float, h: float, cx: float, cw: float, K: int,
     return max(first, second)
 
 
-def xi_membership(alpha: float, h: float, K: int, sp: SpectralData) -> bool:
+def xi_membership(alpha: float, h: float, K: int,
+                  sp: StackedOperators) -> bool:
     """Exact-mode feasibility: h in (0, 2/(fd_min+fd_max)),
     alpha in (1 - h fd_min, 1), and M(alpha, h) < K + 1/2 (strict)."""
     if not (0.0 < h < sp.h_cap_exact):
@@ -170,7 +142,7 @@ def xi_membership(alpha: float, h: float, K: int, sp: SpectralData) -> bool:
     return m_value(alpha, h, sp) < K + 0.5
 
 
-def h_hat_exact(K: int, eps: float, sp: SpectralData) -> float:
+def h_hat_exact(K: int, eps: float, sp: StackedOperators) -> float:
     """Largest gain covered by the eps-parametrized exact feasibility slice."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -181,11 +153,11 @@ def h_hat_exact(K: int, eps: float, sp: SpectralData) -> float:
     return num / den
 
 
-def h_star_exact(K: int, eps: float, sp: SpectralData) -> float:
+def h_star_exact(K: int, eps: float, sp: StackedOperators) -> float:
     return min(sp.h_cap_exact, h_hat_exact(K, eps, sp))
 
 
-def plan_exact(K: int, eps: float, sp: SpectralData,
+def plan_exact(K: int, eps: float, sp: StackedOperators,
                cx: float | None = None, cw: float | None = None,
                pick_fraction: float = 0.5) -> ExactPlan:
     """Feasible (alpha, h) for a given alphabet via the eps parametrization.
@@ -213,7 +185,7 @@ def plan_exact(K: int, eps: float, sp: SpectralData,
                      eps=eps, h_star=h_star, K=K, member=True)
 
 
-def alpha_star(K: int, sp: SpectralData) -> float:
+def alpha_star(K: int, sp: StackedOperators) -> float:
     """Smallest feasible scale-decay factor for alphabet parameter K.
 
     Scans the eps parametrization on a grid of spacing 1e-3 with the gain
@@ -235,7 +207,7 @@ def alpha_star(K: int, sp: SpectralData) -> float:
     return float(best)
 
 
-def m_prime(h: float, beta0: float, sp: SpectralData, cx: float) -> tuple:
+def m_prime(h: float, beta0: float, sp: StackedOperators, cx: float) -> tuple:
     """Required-level functionals for the least-squares mode.
 
     Returns (M1, M2, Mprime, Kmin_raw) following the printed closed forms;
@@ -259,7 +231,7 @@ def m_prime(h: float, beta0: float, sp: SpectralData, cx: float) -> tuple:
     return m1, m2, mp, kmin_from_m(mp)
 
 
-def xi_ls_membership(h: float, beta0: float, K: int, sp: SpectralData,
+def xi_ls_membership(h: float, beta0: float, K: int, sp: StackedOperators,
                      cx: float = 0.0) -> bool:
     """Least-squares feasibility: h in (0, min{2/(lambda2+lambdaN),
     1/fd_min}), beta0 in (1, 1/(1 - h lambda2)), Mprime <= K + 1/2."""
@@ -272,7 +244,7 @@ def xi_ls_membership(h: float, beta0: float, K: int, sp: SpectralData,
     return mp <= K + 0.5
 
 
-def h_hat_ls(K: int, eps: float, sp: SpectralData) -> float:
+def h_hat_ls(K: int, eps: float, sp: StackedOperators) -> float:
     """Largest gain covered by the eps-parametrized least-squares slice."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -285,14 +257,14 @@ def h_hat_ls(K: int, eps: float, sp: SpectralData) -> float:
     return num / den
 
 
-def h_star_ls(K: int, eps: float, sp: SpectralData) -> float:
+def h_star_ls(K: int, eps: float, sp: StackedOperators) -> float:
     # the printed gain cap names the smallest eigenvalue of a matrix that
     # never appears elsewhere; the consistent reading (matching the
     # membership set) is 1/fd_min, which h_cap_ls uses
     return min(sp.h_cap_ls, h_hat_ls(K, eps, sp))
 
 
-def sr_lower_bound(h: float, K: int, cx: float, sp: SpectralData,
+def sr_lower_bound(h: float, K: int, cx: float, sp: StackedOperators,
                    m1: float, m2: float) -> float:
     """Smallest admissible reference scale ruling out saturation (LS mode).
 
@@ -304,7 +276,7 @@ def sr_lower_bound(h: float, K: int, cx: float, sp: SpectralData,
     return max(first, m1 / m2)
 
 
-def plan_ls(K: int, eps: float, sp: SpectralData, delta: float,
+def plan_ls(K: int, eps: float, sp: StackedOperators, delta: float,
             cx: float = 0.0, pick_fraction: float = 0.5) -> LSPlan:
     """Feasible (h, beta0) for a given alphabet in least-squares mode.
 
@@ -325,7 +297,7 @@ def plan_ls(K: int, eps: float, sp: SpectralData, delta: float,
     k0 = 1.0 / (beta0 ** (1.0 / delta) - 1.0)
     sched = GammaSchedule(k0=k0, delta=delta)
     return LSPlan(h=h, beta0=beta0, rho_hat=1.0 - h * sp.lambda2,
-                  kappa_n=sp.kappa_n, M1=m1, M2=m2, Mprime=mp,
+                  M1=m1, M2=m2, Mprime=mp,
                   Kmin_ls_raw=kmin_raw, Kmin_ls=max(1, kmin_raw),
                   sr_min=sr_lower_bound(h, K, cx, sp, m1, m2),
                   gamma=sched, eps=eps, h_star_ls=h_star, K=K, member=True)

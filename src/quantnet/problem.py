@@ -10,8 +10,10 @@ operate on.
 The extreme eigenvalues of the stacked operator Fd = L kron I_m + Hd come
 from one entry point, :func:`stacked_extremes`: a dense eigensolve up to
 ``DENSE_MAX_DIM`` (m*N), Lanczos on the matrix-free product above it.
-:func:`build_stacked` and the solver both call it. The Lanczos start
-vector comes from a private fixed seed; no user seed is drawn from.
+:func:`build_stacked` calls it and returns :class:`StackedOperators`, the
+one spectral summary of a (problem, graph) pair that the planner, the
+solver and the oracles read. The Lanczos start vector comes from a private
+fixed seed; no user seed is drawn from.
 """
 
 from __future__ import annotations
@@ -74,18 +76,24 @@ class ProblemClassification:
 
 @dataclass(frozen=True)
 class StackedOperators:
-    """Block operators on the stacked state space of dimension m*N.
+    """Spectral summary of a (problem, graph) pair, and its stacked operators.
 
-    ``Hd`` (block-diagonal of h_i h_i^T) and ``Fd`` (kron(L, I_m) + Hd) are
-    dense (mN x mN) arrays. Each is assembled from ``problem`` and ``lap``
-    on first read and then kept. Only the matrix-form oracle and the
-    unquantized baseline read them, so a caller that plans or solves
-    allocates no (mN)^2 array.
+    The constants the closed forms read are plain fields, not properties
+    reading through ``lap``: ``planner.alpha_star`` reads them about 20
+    times at each of its 999 grid points. The dense (mN x mN) ``Lm``
+    (kron(L, I_m)), ``Hd`` (block-diagonal of h_i h_i^T) and ``Fd``
+    (Lm + Hd) are assembled on first read, by the matrix-form oracle and
+    the unquantized baseline only, so planning or solving allocates none.
     """
 
     zH: np.ndarray          # stack of z_i * h_i
-    fd_min: float
+    fd_min: float           # extreme eigenvalues of Fd
     fd_max: float
+    lambda2: float          # Laplacian algebraic connectivity
+    lambdaN: float          # Laplacian largest eigenvalue
+    dstar: int              # maximum node degree
+    m: int                  # unknowns (columns of H)
+    n: int                  # nodes
     hd_inf_norm: float      # max absolute row sum
     hd_2_norm: float        # spectral norm
     zh_inf_norm: float
@@ -93,17 +101,38 @@ class StackedOperators:
     problem: LinearProblem = field(repr=False)
     lap: LaplacianSummary = field(repr=False)
 
+    @property
+    def kappa_n(self) -> float:
+        return self.lambdaN / self.lambda2
+
+    @property
+    def h_cap_exact(self) -> float:
+        return 2.0 / (self.fd_min + self.fd_max)
+
+    @property
+    def h_cap_ls(self) -> float:
+        return min(2.0 / (self.lambda2 + self.lambdaN), 1.0 / self.fd_min)
+
+    @cached_property
+    def Lm(self) -> np.ndarray:
+        return _dense_lm(self.lap, self.m)
+
     @cached_property
     def Hd(self) -> np.ndarray:
         return _dense_hd(self.problem)
 
     @cached_property
     def Fd(self) -> np.ndarray:
-        return _dense_fd(self.problem, self.lap)
+        return self.Lm + _dense_hd(self.problem)
 
 
-def classify(p: LinearProblem, exact_tol: float | None = None,
-             rank_tol: float | None = None) -> ProblemClassification:
+# classify: rank deficient when min eig(H^T H) <= _RANK_TOL * max eig(H^T H);
+# exact when the residual is at most _EXACT_TOL * (1 + ||z||)
+_RANK_TOL = 1e-12
+_EXACT_TOL = 1e-9
+
+
+def classify(p: LinearProblem) -> ProblemClassification:
     """Solve the normal equations and classify the system.
 
     Returns ``Unsupported`` when H is rank deficient; otherwise the unique
@@ -113,16 +142,13 @@ def classify(p: LinearProblem, exact_tol: float | None = None,
     H, z = p.H, p.z
     G = H.T @ H
     gmin, gmax = sym_eig_extremes(G)
-    if rank_tol is None:
-        rank_tol = 1e-12 * gmax
-    if gmax <= 0 or gmin <= rank_tol:
+    if gmax <= 0 or gmin <= _RANK_TOL * gmax:
         return ProblemClassification("Unsupported", None, float("nan"))
     c = np.linalg.cholesky(G)
     y = np.linalg.solve(c.T, np.linalg.solve(c, H.T @ z))
     residual = float(np.linalg.norm(z - H @ y))
-    if exact_tol is None:
-        exact_tol = 1e-9 * (1.0 + float(np.linalg.norm(z)))
-    kind = "UniqueExact" if residual <= exact_tol else "UniqueLeastSquares"
+    exact = residual <= _EXACT_TOL * (1.0 + float(np.linalg.norm(z)))
+    kind = "UniqueExact" if exact else "UniqueLeastSquares"
     return ProblemClassification(kind, y, residual)
 
 
@@ -140,11 +166,6 @@ DENSE_MAX_DIM = 800
 LANCZOS_MAX_ITER = 2000
 
 
-def _check_sizes(p: LinearProblem, lap: LaplacianSummary) -> None:
-    if lap.node_count != p.n_nodes:
-        raise ValueError("graph size does not match the problem")
-
-
 def _dense_hd(p: LinearProblem) -> np.ndarray:
     """Dense block-diagonal Hd of the h_i h_i^T blocks."""
     n, m = p.n_nodes, p.dim
@@ -154,9 +175,9 @@ def _dense_hd(p: LinearProblem) -> np.ndarray:
     return Hd.reshape(n * m, n * m)
 
 
-def _dense_fd(p: LinearProblem, lap: LaplacianSummary) -> np.ndarray:
-    """Dense Fd = kron(L, I_m) + Hd."""
-    return np.kron(lap.L, np.eye(p.dim)) + _dense_hd(p)
+def _dense_lm(lap: LaplacianSummary, m: int) -> np.ndarray:
+    """Dense kron(L, I_m): the one place it is built."""
+    return np.kron(lap.L, np.eye(m))
 
 
 def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
@@ -207,22 +228,24 @@ def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
     instead. The Lanczos start vector comes from a private fixed seed, so
     no user seed (``cfg.seed``, ``noise.seed``) is drawn from.
     """
-    _check_sizes(p, lap)
+    if lap.node_count != p.n_nodes:
+        raise ValueError("graph size does not match the problem")
     dim = p.n_nodes * p.dim
     if dim > DENSE_MAX_DIM:
         ext = lanczos_extremes(_stacked_product(p, lap), dim,
                                max_iter=min(dim // 2, LANCZOS_MAX_ITER))
         if ext is not None:
             return ext
-    return sym_eig_extremes(_dense_fd(p, lap))
+    return sym_eig_extremes(_dense_lm(lap, p.dim) + _dense_hd(p))
 
 
 def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
-    """Stacked operators and spectral constants for the calculus and the
+    """The spectral summary of (p, lap) for the calculus, the solver and the
     oracles.
 
-    ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`; the
-    dense ``Hd`` and ``Fd`` are assembled only when read.
+    ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`;
+    ``lambda2``, ``lambdaN`` and ``dstar`` are copied from ``lap``. The
+    dense ``Lm``, ``Hd`` and ``Fd`` are assembled only when read.
     """
     fd_min, fd_max = stacked_extremes(p, lap)
     zH = (p.z[:, None] * p.H).reshape(-1)
@@ -235,7 +258,8 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     hd_2 = max(float(h @ h) for h in p.H)  # spectral norm of a rank-1 block
     return StackedOperators(
         zH=zH, fd_min=float(fd_min), fd_max=float(fd_max),
-        hd_inf_norm=hd_inf, hd_2_norm=hd_2,
+        lambda2=lap.lambda2, lambdaN=lap.lambdaN, dstar=lap.dstar,
+        m=p.dim, n=p.n_nodes, hd_inf_norm=hd_inf, hd_2_norm=hd_2,
         zh_inf_norm=float(np.abs(zH).max()),
         zh_2_norm=float(np.linalg.norm(zH)),
         problem=p, lap=lap,

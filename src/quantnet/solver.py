@@ -50,10 +50,11 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   per-round values in the last bit on about 5% of rounds, and the
   kernel's LS scale s_r gamma(k-1) is a per-round value too.
 
-Spectral set-up, redone on every ``run_*`` call: the Laplacian summary
-(its connectivity check and ``lambdaN``) and ``(fd_min, fd_max)`` from
-:func:`~quantnet.problem.stacked_extremes`, the same bits the planner gets
-from ``build_stacked``. They feed the guarantee warning and the
+Spectral set-up, redone on every ``run_*`` call: the summary
+:func:`~quantnet.problem.build_stacked` of the problem on
+``build_laplacian(g)``, which checks connectivity. It is the summary the
+planner reads, so the solver sees the same bits. Its ``fd_min``,
+``h_cap_exact`` and ``lambdaN`` feed the guarantee warning and the
 ``bound_Bk`` column; the dense stacked operator is never assembled. The
 set-up draws from no user seed, so x(0) and the robust draws above do
 not depend on it.
@@ -70,7 +71,7 @@ import numpy as np
 
 from .codec import NoiseModel, QuantizerSpec, quantize_vec
 from .graph import Graph, build_laplacian, per_receiver_sum
-from .problem import LinearProblem, classify, stacked_extremes
+from .problem import LinearProblem, build_stacked, classify
 
 __all__ = [
     "ExactConfig",
@@ -377,21 +378,19 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
          noise: NoiseModel | None = None) -> Trace:
     """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
     n, m = p.n_nodes, p.dim
-    lap = build_laplacian(g)
-    fd_min, fd_max = stacked_extremes(p, lap)
+    sp = build_stacked(p, build_laplacian(g))
     cls = classify(p)
     if cls.kind == "Unsupported":
         raise ValueError("problem is rank deficient")
     y_ref = cls.solution
 
-    exact_like = mode in ("exact", "robust")
     have_bound = False
-    if exact_like:
-        if cls.kind != "UniqueExact" and mode == "exact":
+    if mode in ("exact", "robust"):
+        if cls.kind != "UniqueExact":
             raise ValueError("exact mode requires an exactly solvable system")
-        rho_h = 1.0 - cfg.h * fd_min
-        h_cap = 2.0 / (fd_min + fd_max)
-        if not (0.0 < cfg.h < h_cap) or not (rho_h < cfg.alpha < 1.0):
+        rho_h = 1.0 - cfg.h * sp.fd_min
+        if (not (0.0 < cfg.h < sp.h_cap_exact)
+                or not (rho_h < cfg.alpha < 1.0)):
             warnings.warn("configuration violates the convergence guarantees; "
                           "running anyway", RuntimeWarning, stacklevel=3)
         have_bound = cfg.alpha > rho_h
@@ -444,8 +443,8 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
             break
 
     ks = np.arange(len(err2))
-    bound = (bound_B(ks, cfg.h, cfg.s0, cfg.alpha, fd_min, lap.lambdaN, m, n)
-             if have_bound else None)
+    bound = (bound_B(ks, cfg.h, cfg.s0, cfg.alpha, sp.fd_min, sp.lambdaN,
+                     m, n) if have_bound else None)
     einf = np.concatenate(cols["einf"])
     ratio = None
     if mode == "ls":

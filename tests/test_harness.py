@@ -72,6 +72,33 @@ def test_parse_config_requires_mode_and_sources():
                       "graph.builtin = fig1\nsolver.h = 0.01\n")
 
 
+BASELINE_CFG = """
+mode = baseline
+problem.builtin = ex1
+graph.builtin = fig1
+solver.h = 0.1
+max_rounds = 50
+"""
+
+
+@pytest.mark.parametrize("edit, key", [
+    (("solver.h = 0.1\n", ""), "solver.h"),
+    (("max_rounds", "gamma.k0 = 26\nmax_rounds"), "gamma.delta"),
+    (("max_rounds", "gamma.delta = 0.85\nmax_rounds"), "gamma.k0"),
+], ids=["no_h", "k0_alone", "delta_alone"])
+def test_baseline_config_missing_key_is_a_usage_error(tmp_path, capsys,
+                                                      edit, key):
+    text = BASELINE_CFG.replace(*edit)
+    with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    cfg_path.write_text(BASELINE_CFG)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
 def test_parse_config_matrix_and_errors():
     cfg = parse_config(EXACT_CFG.replace(
         "problem.builtin = ex1",

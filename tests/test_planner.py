@@ -3,11 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from quantnet.graph import build_laplacian, generate_graph
 from quantnet.planner import (alpha_star, h_hat_exact, h_hat_ls,
                               h_star_exact, kmin_from_m, m_prime, m_value,
                               plan_exact, plan_ls, s0_lower_bound,
-                              sr_lower_bound, xi_ls_membership, xi_membership)
+                              spectral_data, sr_lower_bound, xi_ls_membership,
+                              xi_membership)
 from quantnet.solver import GammaSchedule
+
+
+def test_spectral_data_checks_and_returns_the_summary(ex1_setting):
+    p, _, lap, ops, _ = ex1_setting
+    assert spectral_data(ops, lap, p.dim, p.n_nodes) is ops
+    assert (ops.m, ops.n) == (2, 5)
+    assert (ops.lambda2, ops.lambdaN, ops.dstar) == (lap.lambda2,
+                                                     lap.lambdaN, lap.dstar)
+    other = build_laplacian(generate_graph("cycle", p.n_nodes))
+    with pytest.raises(ValueError, match="Laplacian"):
+        spectral_data(ops, other, p.dim, p.n_nodes)
+    for m, n in ((p.dim + 1, p.n_nodes), (p.dim, p.n_nodes + 1)):
+        with pytest.raises(ValueError, match="does not match"):
+            spectral_data(ops, lap, m, n)
 
 
 def test_kmin_from_m():

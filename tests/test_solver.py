@@ -146,6 +146,17 @@ def test_robust_ideal_matches_exact(ex1_setting):
     assert traces_dynamics_equal(a, b)
 
 
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(damping=0.95)],
+                         ids=["ideal", "damped"])
+def test_robust_rejects_least_squares_system(ex4_setting, noise):
+    # both branches of run_robust: the ideal codec runs exact mode, the
+    # damped one the robust kernel; neither may run on an LS system
+    p, g, _, _, _ = ex4_setting
+    cfg = ExactConfig(h=0.0213, alpha=0.998, s0=10.0, K=300, max_rounds=10)
+    with pytest.raises(ValueError, match="exactly solvable"):
+        run_robust(p, g, cfg, noise)
+
+
 def test_robust_undamped_init_errors_break_convergence(ex1_setting):
     p, g, _, _, _ = ex1_setting
     cfg = ExactConfig(h=0.0213, alpha=0.998, s0=10.0, K=300,

@@ -30,6 +30,17 @@ product:
 * the ex3 system on ER(100, 0.5), whose product is the dense ``L @ V``;
 * a random m = 3 system on the 1000-node cycle, over the arcs.
 
+A separate ``planner`` digest is sha256 over the ``repr`` of planner
+values on four (problem, graph) pairs: fig1 with the ex1 and the ex4
+systems, the ex2 system on its cycle, and the ex3 system on ER(100, 0.3),
+whose stacked spectrum comes from Lanczos. Per pair it covers the
+summary's planner fields (``PLANNER_FIELDS``), ``plan_exact`` and
+``plan_ls`` at K = 300, ``alpha_star`` at K in {10, 100, 1000},
+``m_value`` at the exact plan's (alpha, h), and ``theta_n``. The summary
+comes from ``spectral_data(build_stacked(p, lap), lap, m, N)``, a call
+that checkouts with and without a separate planner summary type both
+accept, so the digest compares across them.
+
 BLAS is pinned to one thread, so the dense eigensolves take one path.
 """
 
@@ -53,7 +64,10 @@ from quantnet.codec import NoiseModel  # noqa: E402
 from quantnet.graph import build_laplacian, generate_graph  # noqa: E402
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
                               builtin_problem, random_problem)
-from quantnet.problem import LinearProblem, stacked_extremes  # noqa: E402
+from quantnet.planner import (alpha_star, m_value, plan_exact,  # noqa: E402
+                              plan_ls, spectral_data)
+from quantnet.problem import (LinearProblem, build_stacked,  # noqa: E402
+                              stacked_extremes, theta_n)
 from quantnet.solver import (ExactConfig, GammaSchedule,  # noqa: E402
                              LSConfig, run_exact, run_ls, run_robust)
 
@@ -133,6 +147,46 @@ def spectra_cases():
            generate_graph("cycle", 1000))
 
 
+PLANNER_FIELDS = ("fd_min", "fd_max", "lambda2", "lambdaN", "dstar", "m",
+                  "n", "hd_inf_norm", "hd_2_norm", "zh_inf_norm",
+                  "zh_2_norm", "kappa_n", "h_cap_exact", "h_cap_ls")
+EXACT_PLAN_FIELDS = ("h", "alpha", "rho_h", "M", "Kmin_raw", "Kmin",
+                     "s0_min", "eps", "h_star", "K", "member")
+LS_PLAN_FIELDS = ("h", "beta0", "rho_hat", "M1", "M2", "Mprime",
+                  "Kmin_ls_raw", "Kmin_ls", "sr_min", "eps", "h_star_ls",
+                  "K", "member")
+
+
+def planner_cases():
+    g = builtin_graph()
+    yield "fig1_ex1", builtin_problem("ex1"), g
+    yield "fig1_ex4", builtin_problem("ex4"), g
+    c = CONSTANTS["ex2"]
+    yield ("ex2_cycle", random_problem(c["n"], c["m"], "exact", c["seed"]),
+           generate_graph(c["graph"], c["n"]))
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    yield ("ex3_er100_p0.3",
+           LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z),
+           generate_graph("erdos_renyi", c["n"], 0.3, seed=c["seed"]))
+
+
+def planner_values(p, g) -> list:
+    """The planner values the ``planner`` digest covers, as reprs."""
+    lap = build_laplacian(g)
+    sp = spectral_data(build_stacked(p, lap), lap, p.dim, p.n_nodes)
+    vals = [getattr(sp, f) for f in PLANNER_FIELDS]
+    plan = plan_exact(300, 0.5, sp, cx=0.5, cw=1.0)
+    vals += [getattr(plan, f) for f in EXACT_PLAN_FIELDS]
+    ls = plan_ls(300, 0.5, sp, delta=0.85, cx=0.5)
+    vals += [getattr(ls, f) for f in LS_PLAN_FIELDS]
+    vals += [ls.gamma.k0, ls.gamma.delta]
+    vals += [alpha_star(K, sp) for K in (10, 100, 1000)]
+    vals += [m_value(plan.alpha, plan.h, sp),
+             theta_n(sp, lap, p.dim, p.n_nodes)]
+    return [repr(v) for v in vals]
+
+
 def main() -> None:
     combined = hashlib.sha256()
     with warnings.catch_warnings():
@@ -150,6 +204,12 @@ def main() -> None:
         spectra.update(np.array(ext, dtype=float).tobytes())
         print(f"{name:28s} fd_min={ext[0]!r} fd_max={ext[1]!r}")
     print(f"{'spectra':28s} {spectra.hexdigest()}")
+    planner = hashlib.sha256()
+    for name, p, g in planner_cases():
+        d = hashlib.sha256("\n".join(planner_values(p, g)).encode())
+        planner.update(d.hexdigest().encode())
+        print(f"{name:28s} {d.hexdigest()}")
+    print(f"{'planner':28s} {planner.hexdigest()}")
 
 
 if __name__ == "__main__":
