@@ -19,9 +19,8 @@ from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
 from .planner import (alpha_star, plan_exact, plan_ls, xi_membership,
                       xi_ls_membership)
-from .problem import (LinearProblem, build_stacked, classify, load_problem,
-                      theta_n)
-from .solver import LSConfig, iter_rounds
+from .problem import LinearProblem, build_stacked, load_problem, theta_n
+from .solver import LSConfig, _setup, iter_rounds
 
 
 def _load_named_problem(spec: str) -> LinearProblem:
@@ -41,6 +40,14 @@ def _spectral(problem: LinearProblem, graph: Graph):
 
 
 def _cmd_plan(args) -> int:
+    if args.kind == "exact":
+        if args.delta is not None:
+            raise ValueError("--delta applies to plan ls only")
+        if (args.cx is None) != (args.cw is None):
+            raise ValueError("--cx and --cw come as a pair: s0_min needs "
+                             "both")
+    elif args.cw is not None:
+        raise ValueError("--cw applies to plan exact only")
     p = _load_named_problem(args.problem)
     g = _load_named_graph(args.graph)
     sp = _spectral(p, g)
@@ -58,7 +65,8 @@ def _cmd_plan(args) -> int:
         rows.append(("exact", args.K, plan.eps, plan.h, plan.alpha, plan.M,
                      plan.Kmin, plan.s0_min, report["membership"]))
     else:
-        plan = plan_ls(args.K, args.eps, sp, delta=args.delta,
+        delta = 0.85 if args.delta is None else args.delta
+        plan = plan_ls(args.K, args.eps, sp, delta=delta,
                        cx=args.cx or 0.0, pick_fraction=args.pick_fraction)
         report = {
             "kind": "ls", "K": args.K, "eps": plan.eps, "h": plan.h,
@@ -88,6 +96,9 @@ def _cmd_solve(args) -> int:
     if args.max_rounds is not None:
         cfg.values["max_rounds"] = args.max_rounds
     if args.strict_saturation:
+        if cfg.get("mode") == "baseline":
+            raise ValueError("--strict-saturation: baseline mode has no "
+                             "quantizer")
         cfg.values["strict_saturation"] = True
     trace = run_config(cfg)
     path = _write_output(args.out or cfg.get("out") or ".", "trace.csv",
@@ -119,13 +130,12 @@ def _cmd_oracle_check(args) -> int:
 def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
     """Largest per-round relative deviation of the solver's own rounds from
     the matrix-form recursion, both started from the solver's x(0)."""
-    ops = _spectral(p, g)
+    ops, y_ref = _setup(p, g, cfg)
     ls = isinstance(cfg, LSConfig)
     if ls:
         lops = make_ls_operators(ops, ops.lap, p.dim)
     else:
-        eops = make_exact_operators(ops, ops.lap, cfg.h,
-                                    classify(p).solution)
+        eops = make_exact_operators(ops, ops.lap, cfg.h, y_ref)
     dev = 0.0
     for st in iter_rounds(p, g, cfg):
         k, x = st.k, st.x.reshape(-1)
@@ -148,9 +158,16 @@ def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
 
 def _cmd_alpha_star(args) -> int:
     if args.problem:
+        given = [f"--{k}" for k in ("n", "m", "seed")
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: only a random problem "
+                             "reads them, and --problem was given")
         p = _load_named_problem(args.problem)
     else:
-        p = random_problem(args.n, args.m, "exact", args.seed or 0)
+        p = random_problem(100 if args.n is None else args.n,
+                           5 if args.m is None else args.m, "exact",
+                           args.seed or 0)
     if args.graph in ("cycle", "star", "complete"):
         g = generate_graph(args.graph, p.n_nodes)
     else:
@@ -178,14 +195,18 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    kinds = [kind.strip() for kind in args.graph_kinds.split(",")]
+    if args.p is not None and "erdos_renyi" not in kinds:
+        raise ValueError("--p applies to erdos_renyi graphs only")
     p = random_problem(args.n, args.m, "exact", args.seed or 0)
     rows = []
-    for kind in args.graph_kinds.split(","):
-        g = generate_graph(kind.strip(), args.n, args.p, args.seed or 0)
+    for kind in kinds:
+        g = generate_graph(kind, args.n,
+                           0.5 if args.p is None else args.p, args.seed or 0)
         sp = _spectral(p, g)
         theta = theta_n(sp, sp.lap, sp.m, sp.n)
         for K in args.K:
-            rows.append((kind.strip(), K, theta, alpha_star(K, sp)))
+            rows.append((kind, K, theta, alpha_star(K, sp)))
     lines = ["graph,K,theta_n,alpha_star"]
     lines += [f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}" for r in rows]
     print("\n".join(lines))
@@ -205,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["exact", "ls"])
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=0.85)
+    sp.add_argument("--delta", type=float, default=None,
+                    help="plan ls only (default 0.85)")
     sp.add_argument("--cx", type=float, default=None)
     sp.add_argument("--cw", type=float, default=None)
     sp.add_argument("--pick-fraction", type=float, default=0.5)
@@ -236,8 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, nargs="+", required=True)
     sp.add_argument("--problem", default=None)
     sp.add_argument("--graph", default="cycle")
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--m", type=int, default=5)
+    sp.add_argument("--n", type=int, default=None,
+                    help="random problem only (default 100)")
+    sp.add_argument("--m", type=int, default=None,
+                    help="random problem only (default 5)")
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_alpha_star)
 
@@ -254,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph-kinds", default="cycle,star,complete")
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--m", type=int, default=5)
-    sp.add_argument("--p", type=float, default=0.5)
+    sp.add_argument("--p", type=float, default=None,
+                    help="erdos_renyi only (default 0.5)")
     sp.add_argument("--K", type=int, nargs="+", required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)

@@ -18,10 +18,9 @@ import numpy as np
 from .codec import NoiseModel
 from .graph import Graph, build_laplacian, generate_graph, load_graph
 from .planner import alpha_star, kmin_from_m, m_value, xi_membership
-from .problem import (LinearProblem, build_stacked, classify, load_problem,
-                      theta_n)
+from .problem import LinearProblem, build_stacked, load_problem, theta_n
 from .solver import (ExactConfig, GammaSchedule, LSConfig, Trace,
-                     _initial_states, run_exact, run_ls, run_robust,
+                     _initial_states, _setup, run_exact, run_ls, run_robust,
                      traces_dynamics_equal)
 
 __all__ = [
@@ -361,8 +360,7 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
     """
     from .oracle import unquantized_step
 
-    ops = build_stacked(p, build_laplacian(g))
-    cls = classify(p)
+    ops, y_ref = _setup(p, g)
     n, m = p.n_nodes, p.dim
     h = cfg.get("solver.h")
     max_rounds = cfg.get("max_rounds", 3000)
@@ -373,7 +371,6 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
         sched = None
     x = _initial_states(p, cfg.get("solver.x0"), cfg.get("solver.cx"),
                         cfg.get("seed", 0)).reshape(-1)
-    y_ref = cls.solution
     target = np.tile(y_ref, n)
     rec_k, rec_err2, rec_einf = [0], [float(np.linalg.norm(x - target))], \
         [np.abs((x - target).reshape(n, m)).max(axis=1)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import quantize_vec
 from .graph import LaplacianSummary
-from .problem import StackedOperators
+from .problem import StackedOperators, spectral_data
 
 __all__ = [
     "CompactExactState",
@@ -42,9 +42,11 @@ class ExactOperators:
 
 def make_exact_operators(ops: StackedOperators, lap: LaplacianSummary,
                          h: float, y_ref: np.ndarray) -> ExactOperators:
+    """``lap`` must be the summary's."""
+    spectral_data(ops, lap, ops.m, ops.n)
     return ExactOperators(Lm=ops.Lm, Fd=ops.Fd,
                           Ph=np.eye(ops.Fd.shape[0]) - h * ops.Fd,
-                          ones_y=np.tile(y_ref, lap.node_count))
+                          ones_y=np.tile(y_ref, ops.n))
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class CompactExactState:
 
     omega: np.ndarray
     eps: np.ndarray
-    round: int = 0
 
     def reconstruct_x(self, s_k: float, ops: ExactOperators) -> np.ndarray:
         return s_k * self.omega + ops.ones_y
@@ -81,8 +82,7 @@ def compact_exact_step(st: CompactExactState, alpha: float, h: float,
     theta = st.eps + h * (ops.Lm @ st.eps) - h * (ops.Fd @ st.omega)
     omega_next = (ops.Ph @ st.omega + h * (ops.Lm @ st.eps)) / alpha
     eps_next = (theta - quantize_vec(theta, K)[0]) / alpha
-    return CompactExactState(omega=omega_next, eps=eps_next,
-                             round=st.round + 1)
+    return CompactExactState(omega=omega_next, eps=eps_next)
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,12 @@ class LSOperators:
 
 def make_ls_operators(ops: StackedOperators, lap: LaplacianSummary,
                       m: int) -> LSOperators:
-    n = lap.node_count
+    """``lap`` and ``m`` must be the summary's."""
+    spectral_data(ops, lap, m, ops.n)
+    n = ops.n
     D = np.eye(n) - np.ones((n, n)) / n
     return LSOperators(Lm=ops.Lm, Hd=ops.Hd, zH=ops.zH,
-                       Dm=np.kron(D, np.eye(m)))
+                       Dm=np.kron(D, np.eye(ops.m)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,6 @@ class CompactLSState:
     x: np.ndarray
     eta: np.ndarray     # (D kron I) x(k) / gamma(k)
     eps: np.ndarray     # (x(k) - predictor stack) / s(k)
-    round: int = 0
 
 
 def compact_ls_init(x0: np.ndarray, s_r: float,
@@ -139,8 +140,7 @@ def compact_ls_step(st: CompactLSState, h: float, s_r: float, gamma_k: float,
     theta = (st.eps + h * Leps
              - (h / s_r) * (ops.Lm @ st.eta + Hx - ops.zH))
     eps_next = beta_k * (theta - quantize_vec(theta, K)[0])
-    return CompactLSState(x=x_next, eta=eta_next, eps=eps_next,
-                          round=st.round + 1)
+    return CompactLSState(x=x_next, eta=eta_next, eps=eps_next)
 
 
 def unquantized_step(x: np.ndarray, h: float, gamma_k: float,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LaplacianSummary
-from .problem import StackedOperators
+from .problem import StackedOperators, spectral_data
 from .solver import GammaSchedule
 
 __all__ = [
@@ -46,18 +45,6 @@ _CEIL_GUARD = 1e-9
 # takes at each grid point (just inside the limit)
 _ALPHA_STAR_EPS_STEP = 1e-3
 _ALPHA_STAR_H_FRACTION = 0.999
-
-
-def spectral_data(ops: StackedOperators, lap: LaplacianSummary,
-                  m: int, n: int) -> StackedOperators:
-    """``ops``, the summary every function here reads, once ``lap``, ``m``
-    and ``n`` are checked to be those it was built from."""
-    if lap is not ops.lap:
-        raise ValueError("lap is not the Laplacian the summary was built on")
-    if (m, n) != (ops.m, ops.n):
-        raise ValueError(f"(m, n) = ({m}, {n}) does not match the summary's "
-                         f"({ops.m}, {ops.n})")
-    return ops
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "classify",
     "build_stacked",
     "stacked_extremes",
+    "spectral_data",
     "theta_n",
     "parse_problem",
     "format_problem",
@@ -255,7 +256,9 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     # the bits of one np.outer per node.
     absH = np.abs(p.H)
     hd_inf = float((absH[:, :, None] * absH[:, None, :]).sum(axis=2).max())
-    hd_2 = max(float(h @ h) for h in p.H)  # spectral norm of a rank-1 block
+    # spectral norm of a rank-1 block h_i h_i^T: max h_i.h_i, as one matmul
+    # per row, which keeps the bits of h @ h (a row-wise einsum does not)
+    hd_2 = float((p.H[:, None, :] @ p.H[:, :, None]).max())
     return StackedOperators(
         zH=zH, fd_min=float(fd_min), fd_max=float(fd_max),
         lambda2=lap.lambda2, lambdaN=lap.lambdaN, dstar=lap.dstar,
@@ -266,16 +269,30 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     )
 
 
+def spectral_data(ops: StackedOperators, lap: LaplacianSummary,
+                  m: int, n: int) -> StackedOperators:
+    """``ops``, once ``lap``, ``m`` and ``n`` are checked to be those it was
+    built from: the check of every reader that is also passed them."""
+    if lap is not ops.lap:
+        raise ValueError("lap is not the Laplacian the summary was built on")
+    if (m, n) != (ops.m, ops.n):
+        raise ValueError(f"(m, n) = ({m}, {n}) does not match the summary's "
+                         f"({ops.m}, {ops.n})")
+    return ops
+
+
 def theta_n(ops: StackedOperators, lap: LaplacianSummary,
             m: int, n: int) -> float:
     """Scalability constant fd_min^2 / (2 sqrt(mN) lambdaN fd_max).
 
     Governs the best convergence exponent attainable per quantization level
-    as the network grows.
+    as the network grows. ``lap``, ``m`` and ``n`` must be the summary's.
     """
+    spectral_data(ops, lap, m, n)
     if ops.fd_min <= 0:
         raise ValueError("requires a positive-definite stacked operator")
-    return ops.fd_min ** 2 / (2.0 * np.sqrt(m * n) * lap.lambdaN * ops.fd_max)
+    return ops.fd_min ** 2 / (2.0 * np.sqrt(ops.m * ops.n) * ops.lambdaN
+                              * ops.fd_max)
 
 
 def parse_problem(text: str) -> LinearProblem:

@@ -50,21 +50,24 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   per-round values in the last bit on about 5% of rounds, and the
   kernel's LS scale s_r gamma(k-1) is a per-round value too.
 
-Spectral set-up, redone on every ``run_*`` call: the summary
-:func:`~quantnet.problem.build_stacked` of the problem on
-``build_laplacian(g)``, which checks connectivity. It is the summary the
-planner reads, so the solver sees the same bits. Its ``fd_min``,
-``h_cap_exact`` and ``lambdaN`` feed the guarantee warning and the
-``bound_Bk`` column; the dense stacked operator is never assembled. The
-set-up draws from no user seed, so x(0) and the robust draws above do
-not depend on it.
+Run set-up, redone on every call: ``_setup`` is the one place that
+decides which systems a run accepts. Every ``run_*``, the unquantized
+baseline (``harness``) and ``quantnet oracle-check`` start from it, so
+they reject the same systems: a disconnected graph, a rank-deficient H,
+and, in exact and robust mode, a system without an exact solution. It
+builds the summary :func:`~quantnet.problem.build_stacked` of the problem
+on ``build_laplacian(g)``, the summary the planner reads, so the solver
+sees the same bits. Its ``fd_min``, ``h_cap_exact`` and ``lambdaN`` feed
+the guarantee warning and the ``bound_Bk`` column; the dense stacked
+operator is never assembled. The set-up draws from no user seed, so x(0)
+and the robust draws above do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -195,7 +198,6 @@ class Trace:
     y_ref: np.ndarray | None = None
     seed: int = 0
     prng: str = PRNG_ID
-    extra_header: dict = field(default_factory=dict)
 
     @property
     def rounds(self) -> int:
@@ -218,11 +220,9 @@ class Trace:
             return ["" if v != v else f"{v:.17g}"      # nan -> empty
                     for v in np.asarray(col, dtype=float).tolist()]
 
-        head = [f"# mode={self.mode} prng={self.prng} seed={self.seed}"]
-        head += [f"# {key}={self.extra_header[key]}"
-                 for key in sorted(self.extra_header)]
-        head.append("k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
-                    "saturation_count,bits_cum")
+        head = [f"# mode={self.mode} prng={self.prng} seed={self.seed}",
+                "k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
+                "saturation_count,bits_cum"]
         rows = map(",".join, zip(
             ints(self.k), floats(self.err2), floats(self.bound_Bk),
             floats(self.ratio_err_gamma), floats(self.max_quant_input),
@@ -374,26 +374,33 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
         yield RoundState(k, x, b, xhat, q, peaks, drift)
 
 
-def _run(p: LinearProblem, g: Graph, cfg, mode: str,
-         noise: NoiseModel | None = None) -> Trace:
-    """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
-    n, m = p.n_nodes, p.dim
+def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
+    """(summary, y_ref) of a run, or ``ValueError`` for a system it rejects.
+
+    With an :class:`ExactConfig` the system must be exactly solvable, and
+    (h, alpha) outside the guarantees warn, naming the caller of ``run_*``.
+    """
     sp = build_stacked(p, build_laplacian(g))
     cls = classify(p)
     if cls.kind == "Unsupported":
         raise ValueError("problem is rank deficient")
-    y_ref = cls.solution
-
-    have_bound = False
-    if mode in ("exact", "robust"):
+    if isinstance(cfg, ExactConfig):
         if cls.kind != "UniqueExact":
             raise ValueError("exact mode requires an exactly solvable system")
         rho_h = 1.0 - cfg.h * sp.fd_min
         if (not (0.0 < cfg.h < sp.h_cap_exact)
                 or not (rho_h < cfg.alpha < 1.0)):
             warnings.warn("configuration violates the convergence guarantees; "
-                          "running anyway", RuntimeWarning, stacklevel=3)
-        have_bound = cfg.alpha > rho_h
+                          "running anyway", RuntimeWarning, stacklevel=4)
+    return sp, cls.solution
+
+
+def _run(p: LinearProblem, g: Graph, cfg, mode: str,
+         noise: NoiseModel | None = None) -> Trace:
+    """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
+    n, m = p.n_nodes, p.dim
+    sp, y_ref = _setup(p, g, cfg)
+    have_bound = mode != "ls" and cfg.alpha > 1.0 - cfg.h * sp.fd_min
 
     bits_per_coord = QuantizerSpec(cfg.K).bits_per_coord
     bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)

@@ -286,6 +286,67 @@ def test_cli_rejects_flags_a_command_ignores():
     assert main(["reproduce", "ex2", "--max-rounds", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["plan", "ls", "--K", "300", "--problem", "ex4", "--cw", "99"], "--cw"),
+    (["plan", "exact", "--K", "300", "--problem", "ex1", "--delta", "0.6"],
+     "--delta"),
+    (["plan", "exact", "--K", "300", "--problem", "ex1", "--cx", "1"],
+     "--cx"),
+    (["plan", "exact", "--K", "300", "--problem", "ex1", "--cw", "1"],
+     "--cw"),
+    (["sweep", "--graph-kinds", "cycle", "--p", "0.9", "--K", "10"], "--p"),
+    (["alpha-star", "--K", "10", "--problem", "ex1", "--n", "77", "--m", "9",
+      "--seed", "4"], "--n"),
+    (["solve", "{baseline}", "--strict-saturation"], "--strict-saturation"),
+], ids=["plan_ls_cw", "plan_exact_delta", "plan_exact_cx_alone",
+        "plan_exact_cw_alone", "sweep_p", "alpha_star_random_sizes",
+        "solve_baseline_strict"])
+def test_cli_flag_the_command_would_ignore_is_a_usage_error(
+        tmp_path, capsys, argv, flag):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASELINE_CFG)
+    argv = [a.replace("{baseline}", str(cfg_path)) for a in argv]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_cli_plan_ls_keeps_its_delta_default(capsys):
+    main(["plan", "ls", "--K", "300", "--problem", "ex4"])
+    assert "delta = 0.85" in capsys.readouterr().out
+
+
+RANK1 = """
+problem.inline = 1 2 3; 2 4 6; 1 2 3
+graph.kind = cycle
+graph.n = 3
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode = exact\nproblem.builtin = ex4\ngraph.builtin = fig1\n"
+     "solver.h = 0.05\nsolver.alpha = 0.99\nsolver.s0 = 1\nsolver.K = 100\n",
+     "exact mode requires an exactly solvable system"),
+    (RANK1 + "mode = ls\nsolver.h = 0.1\nsolver.K = 10\nsolver.s_r = 1\n"
+     "gamma.k0 = 10\ngamma.delta = 0.8\n", "problem is rank deficient"),
+    (RANK1 + "mode = exact\nsolver.h = 0.1\nsolver.alpha = 0.9\n"
+     "solver.s0 = 1\nsolver.K = 10\n", "problem is rank deficient"),
+    (RANK1 + "mode = baseline\nsolver.h = 0.1\n", "problem is rank deficient"),
+], ids=["exact_on_ls_system", "rank1_ls", "rank1_exact", "rank1_baseline"])
+def test_solve_and_oracle_check_refuse_the_same_systems(tmp_path, capsys,
+                                                        text, message):
+    cfg = parse_config(text)
+    with pytest.raises(ValueError, match=message):
+        run_config(cfg)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    if cfg.get("mode") != "baseline":
+        assert main(["oracle-check", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_solve_divergent_run_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(EXACT_CFG.replace("solver.h = 0.42", "solver.h = 2")

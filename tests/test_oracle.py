@@ -1,6 +1,8 @@
 from itertools import islice
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantnet.cli import _oracle_deviation
 from quantnet.graph import build_laplacian, generate_graph
@@ -9,6 +11,7 @@ from quantnet.oracle import (compact_exact_init, compact_exact_step,
                              compact_ls_init, compact_ls_step,
                              make_exact_operators, make_ls_operators,
                              unquantized_step)
+from quantnet.planner import plan_ls
 from quantnet.problem import build_stacked, classify
 from quantnet.solver import ExactConfig, GammaSchedule, LSConfig, iter_rounds
 
@@ -77,6 +80,25 @@ def test_compact_ls_matches_solver_random():
     cfg = LSConfig(h=0.02, K=2000, s_r=2.0,
                    gamma=GammaSchedule(k0=30.0, delta=0.8), max_rounds=500)
     assert _oracle_deviation(p, g, cfg) < 1e-8
+
+
+@given(n=st.integers(3, 8), m=st.integers(1, 3), edge_p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**16), K=st.sampled_from([3, 10, 100, 1000]),
+       eps=st.floats(0.1, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_compact_ls_matches_solver_on_random_systems(n, m, edge_p, seed, K,
+                                                     eps):
+    # parameters from the least-squares planner, so no symbol saturates;
+    # a hand-picked gain below h_cap_ls can still diverge, and then the
+    # relative deviation measures the divergence, not the recursions
+    assume(m < n)
+    p = random_problem(n, m, "ls", seed=seed)
+    g = generate_graph("erdos_renyi", n, edge_p, seed=seed)
+    plan = plan_ls(K, eps, build_stacked(p, build_laplacian(g)), delta=0.85,
+                   cx=1.0)
+    cfg = LSConfig(h=plan.h, K=K, s_r=plan.sr_min, gamma=plan.gamma,
+                   max_rounds=300, cx=1.0, seed=seed)
+    assert _oracle_deviation(p, g, cfg) <= 1e-8
 
 
 def test_compact_ls_eta_mean_free(ex4_setting):

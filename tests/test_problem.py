@@ -7,6 +7,7 @@ from quantnet import problem
 from quantnet.graph import (LaplacianSummary, build_laplacian, generate_graph,
                             lanczos_extremes, sym_eig_extremes)
 from quantnet.harness import CONSTANTS, builtin_problem, random_problem
+from quantnet.oracle import make_exact_operators, make_ls_operators
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, format_problem, parse_problem,
                               stacked_extremes, theta_n)
@@ -86,13 +87,60 @@ def test_stacked_norms(ex4_setting):
 
 
 def test_theta_n_hand_value():
-    class FakeOps:
-        fd_min, fd_max = 2.0, 2.0
+    # two nodes, one edge, h_1 = h_2 = 1 (m = 1): L = [[1, -1], [-1, 1]]
+    # has lambdaN = 2, and Fd = L + I has eigenvalues 1 and 3, so
+    # theta_n = 1^2 / (2 sqrt(2) * 2 * 3) = 1 / (12 sqrt(2))
+    lap = build_laplacian(generate_graph("complete", 2))
+    ops = build_stacked(LinearProblem(H=np.ones((2, 1)), z=np.ones(2)), lap)
+    assert (ops.fd_min, ops.fd_max, ops.lambdaN) == pytest.approx((1, 3, 2))
+    assert theta_n(ops, lap, 1, 2) == pytest.approx(1 / (12 * np.sqrt(2)))
 
-    class FakeLap:
-        lambdaN = 2.0
 
-    assert theta_n(FakeOps, FakeLap, 1, 1) == pytest.approx(0.5)
+def test_summary_readers_reject_another_laplacian_or_size(ex1_setting):
+    # passed the complete graph's Laplacian, or (m, n) = (3, 7), theta_n
+    # once returned 7.71e-5 and 6.38e-5 instead of ex1/fig1's 9.25e-5
+    p, _, lap, ops, _ = ex1_setting
+    other = build_laplacian(generate_graph("complete", p.n_nodes))
+    assert theta_n(ops, lap, 2, 5) == pytest.approx(9.25e-5, rel=1e-3)
+    with pytest.raises(ValueError, match="Laplacian"):
+        theta_n(ops, other, 2, 5)
+    with pytest.raises(ValueError, match="does not match"):
+        theta_n(ops, lap, 3, 7)
+    with pytest.raises(ValueError, match="Laplacian"):
+        make_exact_operators(ops, other, 0.1, classify(p).solution)
+    with pytest.raises(ValueError, match="Laplacian"):
+        make_ls_operators(ops, other, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        make_ls_operators(ops, lap, 3)
+
+
+def _hd_2_norm_systems():
+    """ex1, ex4, ex2, ex3, an N = 1000 m = 3 system, and 220 random 50 x m
+    systems, m = 1..33, at scales 1e-3 to 1e3."""
+    yield builtin_problem("ex1")
+    yield builtin_problem("ex4")
+    c = CONSTANTS["ex2"]
+    yield random_problem(c["n"], c["m"], "exact", c["seed"])
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    yield LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z)
+    yield random_problem(1000, 3, "exact", seed=6)
+    rng = np.random.default_rng(2024)
+    for i in range(220):
+        H = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((50, 1 + i % 33))
+        yield LinearProblem(H=H, z=np.zeros(50))
+
+
+def test_hd_2_norm_keeps_the_bits_of_the_per_node_loop(monkeypatch):
+    # the eigensolve is stubbed out: only the norms are under test
+    monkeypatch.setattr(problem, "stacked_extremes", lambda p, lap: (1.0, 2.0))
+    laps = {}
+    for p in _hd_2_norm_systems():
+        n = p.n_nodes
+        if n not in laps:
+            laps[n] = build_laplacian(generate_graph("cycle", n))
+        loop = max(float(h @ h) for h in p.H)
+        assert build_stacked(p, laps[n]).hd_2_norm == loop
 
 
 def test_theta_n_against_bruteforce():

@@ -94,11 +94,17 @@ def test_strict_saturation_aborts(ex1_setting):
 
 
 def test_guarantee_violation_warns(ex1_setting):
+    # the warning names the caller of run_*, for every entry point
     p, g, _, _, _ = ex1_setting
     cfg = ExactConfig(h=5.0, alpha=0.9, s0=1.0, K=10, max_rounds=5,
                       stop_tol=0.0)
-    with pytest.warns(RuntimeWarning):
-        run_exact(p, g, cfg)
+    noisy = NoiseModel(damping=0.95)
+    for run in (lambda: run_exact(p, g, cfg),
+                lambda: run_robust(p, g, cfg, NoiseModel()),
+                lambda: run_robust(p, g, cfg, noisy)):
+        with pytest.warns(RuntimeWarning) as rec:
+            run()
+        assert [w.filename for w in rec] == [__file__]
 
 
 def test_gamma_schedule_properties():
@@ -442,8 +448,6 @@ def _csv_per_row(tr):
     """The trace's CSV rendered one row at a time, as a reference."""
     buf = io.StringIO()
     buf.write(f"# mode={tr.mode} prng={tr.prng} seed={tr.seed}\n")
-    for key in sorted(tr.extra_header):
-        buf.write(f"# {key}={tr.extra_header[key]}\n")
     buf.write("k,err2,bound_Bk,ratio_err_gamma,max_quant_input,"
               "saturation_count,bits_cum\n")
 
@@ -484,8 +488,7 @@ def test_csv_text_matches_per_row_renderer(ex1_setting, ex4_setting):
         "solver.h = 0.3\nmax_rounds = 400\n"))
     assert base.bound_Bk is None and np.isnan(base.max_quant_input).all()
     assert robust.saturation_count[-1] > 0
-    odd = dataclasses.replace(exact, extra_header={"b": 2, "a": "x"},
-                              err2=exact.err2.copy())
+    odd = dataclasses.replace(exact, err2=exact.err2.copy())
     odd.err2[1:5] = [np.nan, np.inf, -np.inf, -0.0]
     for tr in (exact, ls, robust, base, odd):
         assert tr.csv_text() == _csv_per_row(tr)

@@ -41,6 +41,12 @@ comes from ``spectral_data(build_stacked(p, lap), lap, m, N)``, a call
 that checkouts with and without a separate planner summary type both
 accept, so the digest compares across them.
 
+A separate ``baseline`` digest is sha256 over the digests of four
+unquantized baseline runs through ``run_config`` (``mode = baseline``):
+the ex1 system on fig1 with a constant gain, with the ``gamma`` pair, and
+with x(0) drawn from ``solver.cx``, and a random m = 3 system on ER(30,
+0.3) with x(0) drawn from ``solver.cx``.
+
 BLAS is pinned to one thread, so the dense eigensolves take one path.
 """
 
@@ -63,7 +69,8 @@ import numpy as np  # noqa: E402
 from quantnet.codec import NoiseModel  # noqa: E402
 from quantnet.graph import build_laplacian, generate_graph  # noqa: E402
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
-                              builtin_problem, random_problem)
+                              builtin_problem, parse_config, random_problem,
+                              run_config)
 from quantnet.planner import (alpha_star, m_value, plan_exact,  # noqa: E402
                               plan_ls, spectral_data)
 from quantnet.problem import (LinearProblem, build_stacked,  # noqa: E402
@@ -134,6 +141,22 @@ def network_runs():
                            max_rounds=rounds, cx=1.0, seed=8)
         yield (f"{name}_robust",
                lambda p=p, g=g, rcfg=rcfg: run_robust(p, g, rcfg, noise))
+
+
+def baseline_runs():
+    fig1 = "problem.builtin = ex1\ngraph.builtin = fig1\nsolver.h = 0.3\n"
+    yield "fig1_baseline", fig1
+    yield "fig1_baseline_gamma", fig1 + "gamma.k0 = 26\ngamma.delta = 0.85\n"
+    yield "fig1_baseline_cx", fig1 + "solver.cx = 0.5\nseed = 3\n"
+    g = generate_graph("erdos_renyi", 30, 0.3, seed=5)
+    fd_min, fd_max = stacked_extremes(random_problem(30, 3, "exact", seed=6),
+                                      build_laplacian(g))
+    h = 1.9 / (fd_min + fd_max)
+    yield "er30_baseline", (
+        "problem.random.n = 30\nproblem.random.m = 3\n"
+        "problem.random.seed = 6\ngraph.kind = erdos_renyi\ngraph.n = 30\n"
+        f"graph.p = 0.3\ngraph.seed = 5\nsolver.h = {h!r}\n"
+        "solver.cx = 1.0\nseed = 8\n")
 
 
 def spectra_cases():
@@ -210,6 +233,13 @@ def main() -> None:
         planner.update(d.hexdigest().encode())
         print(f"{name:28s} {d.hexdigest()}")
     print(f"{'planner':28s} {planner.hexdigest()}")
+    baseline = hashlib.sha256()
+    for name, text in baseline_runs():
+        tr = run_config(parse_config("mode = baseline\n" + text))
+        d = digest(tr)
+        baseline.update(d.encode())
+        print(f"{name:28s} rounds={tr.rounds:6d} {d}")
+    print(f"{'baseline':28s} {baseline.hexdigest()}")
 
 
 if __name__ == "__main__":
