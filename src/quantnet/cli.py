@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .harness import (_solver_config, _write_output, build_graph,
-                      build_problem, builtin_graph, builtin_problem,
-                      load_config, random_problem, reproduce, run_config)
+from .harness import (_solver_config, _validate_semantics, _write_output,
+                      build_graph, build_problem, builtin_graph,
+                      builtin_problem, load_config, random_problem, reproduce,
+                      run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
 from .planner import (alpha_star, plan_exact, plan_ls, xi_membership,
@@ -91,15 +92,16 @@ def _cmd_plan(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.values["seed"] = args.seed
-    if args.max_rounds is not None:
-        cfg.values["max_rounds"] = args.max_rounds
-    if args.strict_saturation:
-        if cfg.get("mode") == "baseline":
-            raise ValueError("--strict-saturation: baseline mode has no "
-                             "quantizer")
-        cfg.values["strict_saturation"] = True
+    for flag, key, val in (("--seed", "seed", args.seed),
+                           ("--max-rounds", "max_rounds", args.max_rounds),
+                           ("--strict-saturation", "strict_saturation",
+                            args.strict_saturation or None)):
+        if val is not None:
+            cfg.values[key] = val
+            try:
+                _validate_semantics(cfg.values)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     trace = run_config(cfg)
     path = _write_output(args.out or cfg.get("out") or ".", "trace.csv",
                          trace.csv_text())

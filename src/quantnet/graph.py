@@ -9,7 +9,6 @@ eigenvalue, and the maximum node degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,25 +28,40 @@ __all__ = [
     "save_graph",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, simple graph on nodes 1..N.
 
-    The constructor accepts a disconnected graph; :func:`build_laplacian`
-    and :func:`generate_graph` check connectivity."""
+    ``edges`` is a read-only (E, 2) ``np.intp`` array of the distinct pairs
+    (i, j), 1 <= i < j <= N, in lexicographic order; :attr:`arcs` and
+    :meth:`degrees` derive from it. The constructor takes any collection of
+    pairs and names the first bad one. ``(i, j) in g.edges`` is numpy's
+    elementwise test, not a pair test. The constructor accepts a
+    disconnected graph; :func:`build_laplacian` and :func:`generate_graph`
+    check connectivity."""
 
     node_count: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j, 1-based
+    edges: np.ndarray
     retries: int = 0  # seed increments needed by the random generator
 
     def __post_init__(self):
-        if self.node_count < 2:
+        n, e = self.node_count, self.edges
+        if n < 2:
             raise ValueError("graph needs at least 2 nodes")
-        for (i, j) in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i},{j}) not allowed")
-            if not (1 <= i < j <= self.node_count):
-                raise ValueError(f"edge ({i},{j}) out of range or unordered")
+        e = (np.asarray(e if isinstance(e, np.ndarray) else list(e))
+             if len(e) else np.empty((0, 2), np.intp))
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+            raise ValueError("edges must be integer pairs (i, j)")
+        i, j = e.T
+        bad = e[(i < 1) | (i >= j) | (j > n)]
+        e = e[np.argsort(i * n + j, kind="stable")].astype(np.intp)
+        twice = e[1:][(e[1:] == e[:-1]).all(axis=1)]
+        for pairs, why in ((bad, f"needs 1 <= i < j <= {n}"),
+                           (twice, "is given twice")):
+            if len(pairs):
+                raise ValueError(f"edge ({pairs[0, 0]},{pairs[0, 1]}) {why}")
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
 
     @cached_property
     def arcs(self) -> tuple:
@@ -56,9 +70,7 @@ class Graph:
         arc order: the Laplacian, the solver's decoders and draws, and every
         per-receiver sum follow it."""
         n = self.node_count
-        e = np.fromiter(itertools.chain.from_iterable(self.edges),
-                        dtype=np.intp, count=2 * len(self.edges))
-        i, j = e.reshape(-1, 2).T - 1
+        i, j = self.edges.T - 1
         # one sort of the unique keys receiver * n + sender; np.lexsort of
         # the pairs took 1.1 ms against 0.15 ms at E = 4455
         key = np.sort(np.concatenate((i * n + j, j * n + i)))
@@ -70,25 +82,37 @@ class Graph:
         return np.bincount(self.arcs[0], minlength=self.node_count)
 
     def is_connected(self) -> bool:
-        return _connected(self.node_count, *self.arcs)
+        """By label propagation over the arcs. Every node starts labelled
+        with itself. Each pass hooks, for every arc (u, v), the node named by
+        u's label to v's label where that is smaller, then replaces every
+        label by its label's label. Labels only fall, so the passes stop. A
+        pass that changes nothing leaves both ends of every edge with one
+        label, and a label never leaves its component: the graph is
+        connected when every node carries node 0's label, 0."""
+        u, v = self.arcs
+        label = np.arange(self.node_count)
+        while True:
+            new = label.copy()
+            np.minimum.at(new, label[u], label[v])
+            new = new[new]
+            if np.array_equal(new, label):
+                return bool((label == 0).all())
+            label = new
 
 
 @dataclass(frozen=True)
 class LaplacianSummary:
-    """Laplacian matrix with the spectral quantities used downstream, and
-    the graph's arcs (:attr:`Graph.arcs`) and node degrees."""
+    """Laplacian matrix of ``graph`` with its extreme nonzero eigenvalues."""
 
     L: np.ndarray
     lambda2: float
     lambdaN: float
-    node_count: int
-    arcs: tuple
-    degrees: np.ndarray
+    graph: Graph
 
     @property
     def dstar(self) -> int:
         """Maximum node degree."""
-        return int(self.degrees.max())
+        return int(self.graph.degrees().max())
 
 
 def per_receiver_sum(recv: np.ndarray, n: int, m: int):
@@ -101,25 +125,6 @@ def per_receiver_sum(recv: np.ndarray, n: int, m: int):
         return np.bincount(flat, weights=v.ravel(),
                            minlength=n * m).reshape(n, m)
     return summed
-
-
-def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the n-node graph with zero-based arcs (u, v) is connected,
-    by label propagation; every edge must appear as both of its arcs.
-    Every node starts labelled with itself. Each pass hooks, for every arc
-    (u, v), the node named by u's label to v's label where that is smaller,
-    then replaces every label by its label's label. Labels only fall, so
-    the passes stop. A pass that changes nothing leaves both ends of every
-    edge with one label, and a label never leaves its component: the graph
-    is connected when every node carries node 0's label, 0."""
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, label[u], label[v])
-        new = new[new]
-        if np.array_equal(new, label):
-            return bool((label == 0).all())
-        label = new
 
 
 def sym_eig_extremes(A: np.ndarray) -> tuple:
@@ -264,17 +269,14 @@ def build_laplacian(g: Graph) -> LaplacianSummary:
     Raises ValueError for a disconnected graph.
     """
     n = g.node_count
-    recv, send = g.arcs
-    if not _connected(n, recv, send):
+    if not g.is_connected():
         raise ValueError("graph not connected")
-    deg = g.degrees()
     L = np.zeros((n, n))
-    L[recv, send] = -1.0
-    L[np.diag_indices(n)] = deg
+    L[g.arcs] = -1.0
+    L[np.diag_indices(n)] = g.degrees()
     vals = np.linalg.eigvalsh(L)
     return LaplacianSummary(L=L, lambda2=float(vals[1]),
-                            lambdaN=float(vals[-1]), node_count=n,
-                            arcs=g.arcs, degrees=deg)
+                            lambdaN=float(vals[-1]), graph=g)
 
 
 def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
@@ -286,30 +288,26 @@ def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    i = np.arange(1, n)
     if kind == "cycle":
-        edges = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-        if n == 2:
-            edges = {(1, 2)}
-        return Graph(n, frozenset(edges))
+        pairs = np.column_stack((i, i + 1))
+        return Graph(n, pairs if n == 2 else np.vstack((pairs, (1, n))))
     if kind == "star":
-        return Graph(n, frozenset((1, j) for j in range(2, n + 1)))
+        return Graph(n, np.column_stack((np.ones_like(i), i + 1)))
     if kind == "complete":
-        return Graph(n, frozenset((i, j) for i in range(1, n + 1)
-                                  for j in range(i + 1, n + 1)))
-    if kind == "erdos_renyi":
-        if not (0.0 < p <= 1.0):
-            raise ValueError("p must be in (0, 1]")
-        # the pairs (i, j), i < j, in row-major order: one draw each
-        pairs = np.column_stack(np.triu_indices(n, 1))
-        for attempt in range(10_000):
-            keep = np.random.default_rng(seed + attempt).random(len(pairs)) < p
-            kept = pairs[keep]
-            arcs = np.concatenate((kept, kept[:, ::-1])).T
-            if keep.any() and _connected(n, *arcs):
-                i, j = (kept + 1).T.tolist()
-                return Graph(n, frozenset(zip(i, j)), retries=attempt)
-        raise RuntimeError("no connected graph found after 10000 attempts")
-    raise ValueError(f"unknown graph kind {kind!r}")
+        return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
+    if kind != "erdos_renyi":
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must be in (0, 1]")
+    # the pairs (i, j), i < j, in lexicographic order: one draw each
+    pairs = np.column_stack(np.triu_indices(n, 1)) + 1
+    for attempt in range(10_000):
+        keep = np.random.default_rng(seed + attempt).random(len(pairs)) < p
+        g = Graph(n, pairs[keep], retries=attempt)
+        if g.is_connected():
+            return g
+    raise RuntimeError("no connected graph found after 10000 attempts")
 
 
 def parse_graph(text: str) -> Graph:
@@ -337,13 +335,12 @@ def parse_graph(text: str) -> Graph:
         edges.add((min(i, j), max(i, j)))
     if n is None:
         raise ValueError("missing 'N <count>' header")
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"N {g.node_count}"]
-    lines += [f"{i} {j}" for (i, j) in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
+    return f"N {g.node_count}\n" + "".join(f"{i} {j}\n"
+                                          for i, j in g.edges.tolist())
 
 
 def load_graph(path) -> Graph:

@@ -19,9 +19,9 @@ from .codec import NoiseModel
 from .graph import Graph, build_laplacian, generate_graph, load_graph
 from .planner import alpha_star, kmin_from_m, m_value, xi_membership
 from .problem import LinearProblem, build_stacked, load_problem, theta_n
-from .solver import (ExactConfig, GammaSchedule, LSConfig, Trace,
-                     _initial_states, _setup, run_exact, run_ls, run_robust,
-                     traces_dynamics_equal)
+from .solver import (STOP_TOL_DEFAULT, ExactConfig, GammaSchedule, LSConfig,
+                     Trace, _initial_states, _setup, run_exact, run_ls,
+                     run_robust, traces_dynamics_equal)
 
 __all__ = [
     "ExperimentConfig",
@@ -109,7 +109,7 @@ def builtin_graph(name: str = "fig1") -> Graph:
     if name != "fig1":
         raise ValueError(f"unknown built-in graph {name!r}")
     c = CONSTANTS["five_node_graph"]
-    return Graph(c["n"], frozenset(c["edges"]))
+    return Graph(c["n"], c["edges"])
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,38 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(values)
 
 
+# What a run reads. Each row names the keys that a mode, or a problem or
+# graph source, requires and the keys it may take; a source's row lists the
+# key that selects it first. A run reads the common keys and its three rows
+# (mode, problem source, graph source); any other key would be ignored, so
+# the config is rejected.
+_COMMON_KEYS = ("mode", "seed", "max_rounds", "stop_tol", "out")
+_EXACT_KEYS = ("solver.h", "solver.alpha", "solver.s0", "solver.K")
+_QUANTIZED_KEYS = ("strict_saturation", "solver.x0", "solver.cx")
+_NOISE_KEYS = tuple(k for k in _SCHEMA if k.startswith("noise."))
+_READS = {   # row -> (required, optional)
+    "exact mode": (_EXACT_KEYS, _QUANTIZED_KEYS),
+    "robust mode": (_EXACT_KEYS, _QUANTIZED_KEYS + _NOISE_KEYS),
+    "ls mode": (("solver.h", "solver.s_r", "solver.K", "gamma.k0",
+                 "gamma.delta"), _QUANTIZED_KEYS),
+    "baseline mode": (("solver.h",),
+                      ("gamma.k0", "gamma.delta", "solver.x0", "solver.cx")),
+    "problem.file": (("problem.file",), ()),
+    "problem.builtin": (("problem.builtin",), ()),
+    "problem.inline": (("problem.inline",), ()),
+    "problem.random.n": (("problem.random.n", "problem.random.m"),
+                         ("problem.random.kind", "problem.random.seed")),
+    "graph.file": (("graph.file",), ()),
+    "graph.builtin": (("graph.builtin",), ()),
+    "graph.kind": (("graph.kind", "graph.n"), ()),
+    "graph.kind = erdos_renyi": (("graph.kind", "graph.n"),
+                                 ("graph.p", "graph.seed")),
+}
+_PROBLEM_SOURCES = ("problem.file", "problem.builtin", "problem.inline",
+                    "problem.random.n")
+_GRAPH_SOURCES = ("graph.file", "graph.builtin", "graph.kind")
+
+
 def _validate_semantics(values: dict) -> None:
     mode = values.get("mode")
     if mode is None:
@@ -227,32 +259,35 @@ def _validate_semantics(values: dict) -> None:
         raise ValueError("gamma.delta: must lie in (1/2, 1]")
     if "gamma.k0" in values and values["gamma.k0"] <= 0:
         raise ValueError("gamma.k0: must be positive")
-    sources = [k for k in ("problem.file", "problem.builtin", "problem.inline",
-                           "problem.random.n") if k in values]
-    if len(sources) != 1:
+    problem = [k for k in _PROBLEM_SOURCES if k in values]
+    if len(problem) != 1:
         raise ValueError("exactly one problem source must be given "
                          "(problem.file | problem.builtin | problem.inline "
                          "| problem.random.*)")
-    gsources = [k for k in ("graph.file", "graph.builtin", "graph.kind")
-                if k in values]
-    if len(gsources) != 1:
+    graph = [k for k in _GRAPH_SOURCES if k in values]
+    if len(graph) != 1:
         raise ValueError("exactly one graph source must be given "
                          "(graph.file | graph.builtin | graph.kind)")
-    if mode in ("exact", "robust"):
-        for k in ("solver.h", "solver.alpha", "solver.s0", "solver.K"):
+    if values.get("graph.kind") == "erdos_renyi":
+        graph = ["graph.kind = erdos_renyi"]
+    rows = (f"{mode} mode", problem[0], graph[0])
+    reads = set(_COMMON_KEYS)
+    for row in rows:
+        required, optional = _READS[row]
+        for k in required:
             if k not in values:
-                raise ValueError(f"missing required key '{k}' for {mode} mode")
-    if mode == "ls":
-        for k in ("solver.h", "solver.s_r", "solver.K",
-                  "gamma.k0", "gamma.delta"):
-            if k not in values:
-                raise ValueError(f"missing required key '{k}' for ls mode")
-    if mode == "baseline" and "solver.h" not in values:
-        raise ValueError("missing required key 'solver.h' for baseline mode")
+                raise ValueError(f"missing required key '{k}' for {row}")
+        reads.update(required, optional)
     for k, other in (("gamma.k0", "gamma.delta"), ("gamma.delta", "gamma.k0")):
         if other in values and k not in values:
             raise ValueError(f"missing required key '{k}': gamma.k0 and "
                              "gamma.delta come as a pair")
+    ignored = [k for k in values if k not in reads]
+    if "solver.x0" in values and "solver.cx" in values:
+        ignored.append("solver.cx")     # solver.x0 sets x(0)
+    if ignored:
+        raise ValueError(f"key '{ignored[0]}' would be ignored: a run with "
+                         + ", ".join(rows) + " does not read it")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -306,14 +341,14 @@ def build_graph(cfg: ExperimentConfig) -> Graph:
 def _solver_config(cfg: ExperimentConfig, mode: str):
     common = dict(
         K=cfg.get("solver.K"),
-        max_rounds=cfg.get("max_rounds", 3000 if mode != "ls" else 20000),
         strict_saturation=cfg.get("strict_saturation", False),
         x0=np.array(cfg.get("solver.x0")) if "solver.x0" in cfg else None,
         cx=cfg.get("solver.cx"),
         seed=cfg.get("seed", 0),
     )
-    if "stop_tol" in cfg:
-        common["stop_tol"] = cfg.get("stop_tol")
+    for key in ("max_rounds", "stop_tol"):
+        if key in cfg:
+            common[key] = cfg.get(key)
     if mode == "ls":
         return LSConfig(h=cfg.get("solver.h"), s_r=cfg.get("solver.s_r"),
                         gamma=GammaSchedule(cfg.get("gamma.k0"),
@@ -363,8 +398,8 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
     ops, y_ref = _setup(p, g)
     n, m = p.n_nodes, p.dim
     h = cfg.get("solver.h")
-    max_rounds = cfg.get("max_rounds", 3000)
-    stop_tol = cfg.get("stop_tol", 1e-12)
+    max_rounds = cfg.get("max_rounds", ExactConfig.max_rounds)
+    stop_tol = cfg.get("stop_tol", STOP_TOL_DEFAULT)
     if "gamma.k0" in cfg:
         sched = GammaSchedule(cfg.get("gamma.k0"), cfg.get("gamma.delta"))
     else:

@@ -185,7 +185,7 @@ def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
     """v -> Fd v without forming Fd: (L kron I_m) v, plus H rowdot(H, v).
 
     L is a simple graph's Laplacian (unit weights), with E edges and the
-    2E arcs of ``lap.arcs``. On a dense graph (16 E >= N^2) the Laplacian
+    2E arcs of ``lap.graph.arcs``. On a dense graph (16 E >= N^2) the Laplacian
     term is the product L @ V with the N x N L that the summary already
     holds; otherwise it is degree times V minus the per-receiver sums over
     the arcs (:func:`~quantnet.graph.per_receiver_sum`).
@@ -198,14 +198,14 @@ def _stacked_product(p: LinearProblem, lap: LaplacianSummary):
     the edge list was N = 300, m = 10 at 10% (0.33 against 0.09 ms).
     """
     n, m, H = p.n_nodes, p.dim, p.H
-    recv, send = lap.arcs
+    recv, send = lap.graph.arcs
     if 8 * len(recv) >= n * n:          # 16 E >= N^2, as there are 2E arcs
         L = lap.L
 
         def laplacian(V):
             return L @ V
     else:
-        deg = lap.degrees[:, None]
+        deg = lap.graph.degrees()[:, None]
         heard = per_receiver_sum(recv, n, m)
 
         def laplacian(V):
@@ -229,7 +229,7 @@ def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
     instead. The Lanczos start vector comes from a private fixed seed, so
     no user seed (``cfg.seed``, ``noise.seed``) is drawn from.
     """
-    if lap.node_count != p.n_nodes:
+    if lap.graph.node_count != p.n_nodes:
         raise ValueError("graph size does not match the problem")
     dim = p.n_nodes * p.dim
     if dim > DENSE_MAX_DIM:

@@ -60,7 +60,7 @@ def test_generate_counts():
 def test_erdos_renyi_connected_and_deterministic():
     g1 = generate_graph("erdos_renyi", 100, 0.1, seed=1)
     g2 = generate_graph("erdos_renyi", 100, 0.1, seed=1)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     assert g1.is_connected()  # BFS reachability
 
 
@@ -104,7 +104,7 @@ def test_graph_text_roundtrip(fig1_graph):
     text = format_graph(fig1_graph)
     g2 = parse_graph(text)
     assert g2.node_count == fig1_graph.node_count
-    assert g2.edges == fig1_graph.edges
+    assert np.array_equal(g2.edges, fig1_graph.edges)
 
 
 def test_graph_text_comments_and_errors():
@@ -114,6 +114,39 @@ def test_graph_text_comments_and_errors():
         parse_graph("1 2\n")  # missing header
     with pytest.raises(ValueError):
         parse_graph("N 3\n2 2\n")  # self-loop
+
+
+def test_graph_edges_one_sorted_read_only_array():
+    g = parse_graph("N 4\n# comment\n3 4\n2 1\n1 2\n4 1  # reversed\n")
+    assert g.edges.tolist() == [[1, 2], [1, 4], [3, 4]]
+    assert g.edges.dtype == np.intp and not g.edges.flags.writeable
+    given = np.array([[2, 3], [1, 3]])
+    g = Graph(3, given)
+    assert g.edges.tolist() == [[1, 3], [2, 3]]
+    assert given.flags.writeable and given.tolist() == [[2, 3], [1, 3]]
+    assert Graph(3, []).edges.shape == (0, 2)
+    for bad in ([(1, 2, 3)], [(1.0, 2.0)], [1, 2]):
+        with pytest.raises(ValueError, match="integer pairs"):
+            Graph(3, bad)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(1, 2), (3, 2)], r"edge \(3,2\) needs 1 <= i < j <= 4"),
+    ([(1, 2), (2, 5)], r"edge \(2,5\) needs 1 <= i < j <= 4"),
+    ([(0, 2), (1, 2)], r"edge \(0,2\) needs 1 <= i < j <= 4"),
+    ([(1, 2), (3, 3)], r"edge \(3,3\) needs 1 <= i < j <= 4"),
+], ids=["reversed", "out_of_range", "zero", "self_loop"])
+@pytest.mark.parametrize("form", [np.array, set])
+def test_graph_constructor_names_the_bad_pair(pairs, message, form):
+    with pytest.raises(ValueError, match=message):
+        Graph(4, form(pairs))
+
+
+@pytest.mark.parametrize("form", [np.array, list])
+def test_graph_constructor_rejects_a_repeated_pair(form):
+    # a set cannot hold a pair twice, so the repeat comes as an array or list
+    with pytest.raises(ValueError, match=r"edge \(1,3\) is given twice"):
+        Graph(4, form([(1, 3), (2, 3), (1, 2), (1, 3)]))
 
 
 @pytest.mark.parametrize("n", [100, 1000])
@@ -154,8 +187,8 @@ def test_erdos_renyi_edges_match_loop_reference():
                          (30, 0.3, 2), (100, 0.1, 11), (100, 0.9, 3)]:
         g = generate_graph("erdos_renyi", n, p, seed=seed)
         edges, attempt = _erdos_renyi_loop(n, p, seed)
-        assert g.edges == edges and g.retries == attempt
-        assert all(type(i) is int and type(j) is int for (i, j) in g.edges)
+        assert np.array_equal(g.edges, sorted(edges))
+        assert g.retries == attempt and g.edges.dtype == np.intp
         retried += attempt > 0
     assert retried >= 2
 

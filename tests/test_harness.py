@@ -99,6 +99,51 @@ def test_baseline_config_missing_key_is_a_usage_error(tmp_path, capsys,
     assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("text, key", [
+    (EXACT_CFG.replace("graph.builtin = fig1", "graph.kind = cycle"),
+     "graph.n"),
+    (EXACT_CFG.replace("problem.builtin = ex1", "problem.random.n = 6"),
+     "problem.random.m"),
+    (EXACT_CFG + "graph.p = 0.5\n", "graph.p"),
+    (EXACT_CFG.replace("graph.builtin = fig1",
+                       "graph.kind = cycle\ngraph.n = 5\ngraph.seed = 2"),
+     "graph.seed"),
+    (EXACT_CFG + "gamma.k0 = 26\ngamma.delta = 0.85\n", "gamma.k0"),
+    (EXACT_CFG + "noise.damping = 0.95\n", "noise.damping"),
+    (EXACT_CFG + "solver.s_r = 0.8\n", "solver.s_r"),
+    (LS_CFG + "solver.alpha = 0.9\n", "solver.alpha"),
+    (BASELINE_CFG + "strict_saturation = true\n", "strict_saturation"),
+    (BASELINE_CFG + "solver.K = 1\n", "solver.K"),
+    (BASELINE_CFG + "solver.alpha = 0.5\n", "solver.alpha"),
+    (EXACT_CFG + "solver.x0 = 0 0; 0 0; 0 0; 0 0; 0 0\nsolver.cx = 1\n",
+     "solver.cx"),
+], ids=["kind_without_n", "random_n_without_m", "p_on_builtin",
+        "seed_on_cycle", "gamma_in_exact", "noise_in_exact", "s_r_in_exact",
+        "alpha_in_ls", "strict_in_baseline", "K_in_baseline",
+        "alpha_in_baseline", "cx_with_x0"])
+def test_config_key_missing_or_ignored_is_a_usage_error(tmp_path, capsys,
+                                                         text, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_config_keys_each_source_reads_are_accepted():
+    parse_config(EXACT_CFG.replace(
+        "graph.builtin = fig1", "graph.kind = erdos_renyi\ngraph.n = 8\n"
+        "graph.p = 0.5\ngraph.seed = 3").replace(
+        "problem.builtin = ex1", "problem.random.n = 8\nproblem.random.m = 2"
+        "\nproblem.random.kind = exact\nproblem.random.seed = 1"))
+    parse_config(EXACT_CFG.replace("mode = exact", "mode = robust")
+                 + "noise.damping = 0.95\nnoise.seed = 2\n")
+    parse_config(BASELINE_CFG + "gamma.k0 = 26\ngamma.delta = 0.85\n"
+                 "solver.cx = 1\nseed = 2\nstop_tol = 0\nout = x\n")
+
+
 def test_parse_config_matrix_and_errors():
     cfg = parse_config(EXACT_CFG.replace(
         "problem.builtin = ex1",
@@ -161,11 +206,19 @@ def test_constants_audit():
     assert CONSTANTS["ex3"]["p_values"][-1] == 0.9
 
 
+def _baseline(exact_cfg):
+    """The exact config as a baseline run: no alpha, s0 or K, which the
+    unquantized baseline does not read."""
+    lines = exact_cfg.replace("mode = exact", "mode = baseline").splitlines()
+    return "\n".join(ln for ln in lines if not ln.startswith(
+        ("solver.alpha", "solver.s0", "solver.K"))) + "\n"
+
+
 def test_run_config_exact_and_baseline():
     tr = run_config(parse_config(EXACT_CFG))
     assert tr.mode == "exact"
     assert tr.err2[-1] < 1e-6
-    base_cfg = EXACT_CFG.replace("mode = exact", "mode = baseline")
+    base_cfg = _baseline(EXACT_CFG)
     tb = run_config(parse_config(base_cfg))
     assert tb.mode == "baseline"
     assert tb.err2[-1] < 1e-10
@@ -176,8 +229,7 @@ def test_baseline_starts_from_the_solvers_x0():
     # solver.cx and seed draw x(0) in baseline mode as in exact mode
     cfg = EXACT_CFG + "solver.cx = 1.0\nseed = 3\n"
     exact = run_config(parse_config(cfg))
-    base = run_config(parse_config(cfg.replace("mode = exact",
-                                               "mode = baseline")))
+    base = run_config(parse_config(_baseline(cfg)))
     assert base.err2[0] == exact.err2[0]
     assert base.err2[0] == pytest.approx(8.1380, abs=1e-4)
 

@@ -11,7 +11,7 @@ from quantnet.oracle import (compact_exact_init, compact_exact_step,
                              compact_ls_init, compact_ls_step,
                              make_exact_operators, make_ls_operators,
                              unquantized_step)
-from quantnet.planner import plan_ls
+from quantnet.planner import plan_exact, plan_ls
 from quantnet.problem import build_stacked, classify
 from quantnet.solver import ExactConfig, GammaSchedule, LSConfig, iter_rounds
 
@@ -99,6 +99,25 @@ def test_compact_ls_matches_solver_on_random_systems(n, m, edge_p, seed, K,
     cfg = LSConfig(h=plan.h, K=K, s_r=plan.sr_min, gamma=plan.gamma,
                    max_rounds=300, cx=1.0, seed=seed)
     assert _oracle_deviation(p, g, cfg) <= 1e-8
+
+
+@given(n=st.integers(3, 8), m=st.integers(1, 3), edge_p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**16), K=st.sampled_from([3, 10, 100, 1000]),
+       eps=st.floats(0.1, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_compact_exact_matches_solver_on_random_systems(n, m, edge_p, seed,
+                                                        K, eps):
+    # parameters from the exact planner, with the smallest initial scale
+    # that rules out saturation for x(0) drawn in [-1, 1]
+    assume(m < n)
+    p = random_problem(n, m, "exact", seed=seed)
+    g = generate_graph("erdos_renyi", n, edge_p, seed=seed)
+    y = classify(p).solution
+    plan = plan_exact(K, eps, build_stacked(p, build_laplacian(g)), cx=1.0,
+                      cw=float(np.abs(y).max()))
+    cfg = ExactConfig(h=plan.h, alpha=plan.alpha, s0=plan.s0_min, K=K,
+                      max_rounds=300, cx=1.0, seed=seed)
+    assert _oracle_deviation(p, g, cfg) <= 1e-9
 
 
 def test_compact_ls_eta_mean_free(ex4_setting):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from quantnet import problem
-from quantnet.graph import (LaplacianSummary, build_laplacian, generate_graph,
-                            lanczos_extremes, sym_eig_extremes)
+from quantnet.graph import (Graph, LaplacianSummary, build_laplacian,
+                            generate_graph, lanczos_extremes,
+                            sym_eig_extremes)
 from quantnet.harness import CONSTANTS, builtin_problem, random_problem
 from quantnet.oracle import make_exact_operators, make_ls_operators
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
@@ -182,10 +183,9 @@ def _above_dense_size(kind, m, p=None):
     else:   # Erdos-Renyi
         A = np.triu(np.random.default_rng(5).random((n, n)) < p, 1) * 1.0
     A += A.T
-    recv, send = np.nonzero(A)          # row-major: (receiver, sender) order
+    g = Graph(n, np.column_stack(np.nonzero(np.triu(A))) + 1)
     lap = LaplacianSummary(L=np.diag(A.sum(axis=1)) - A, lambda2=np.nan,
-                           lambdaN=np.nan, node_count=n, arcs=(recv, send),
-                           degrees=np.bincount(recv, minlength=n))
+                           lambdaN=np.nan, graph=g)
     return random_problem(n, m, "exact", seed=5), lap
 
 

@@ -281,7 +281,7 @@ def _reference_trace(p, g, cfg, mode, noise=None):
     n, m, K = p.n_nodes, p.dim, cfg.K
     have_bound = mode != "ls" and cfg.alpha > 1.0 - cfg.h * fd_min
     bpc = QuantizerSpec(K).bits_per_coord
-    e = np.array(sorted(g.edges)) - 1
+    e = g.edges - 1
     send = np.concatenate([e[:, 1], e[:, 0]])
     cols = {key: [] for key in ("err2", "einf", "maxin", "sat", "bits",
                                 "nz", "bound", "ratio", "drift")}

@@ -47,6 +47,14 @@ the ex1 system on fig1 with a constant gain, with the ``gamma`` pair, and
 with x(0) drawn from ``solver.cx``, and a random m = 3 system on ER(30,
 0.3) with x(0) drawn from ``solver.cx``.
 
+A separate ``graphs`` digest is sha256 over per-graph digests, each over
+the ``format_graph`` text, the bytes of ``Graph.arcs`` and ``degrees()``,
+``retries``, and the float64 bytes of ``build_laplacian``'s ``lambda2`` and
+``lambdaN``. The graphs: cycle, star and complete at N in {2, 3, 5, 100,
+1000}; two ER(100, p) graphs at each er_sweep p (0.1, ..., 0.9); ER(12,
+0.15) seed 1 and ER(20, 0.1) seed 5, which the generator retries; fig1;
+and a parsed text with reversed, repeated and commented lines.
+
 BLAS is pinned to one thread, so the dense eigensolves take one path.
 """
 
@@ -67,7 +75,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from quantnet.codec import NoiseModel  # noqa: E402
-from quantnet.graph import build_laplacian, generate_graph  # noqa: E402
+from quantnet.graph import (build_laplacian, format_graph,  # noqa: E402
+                            generate_graph, parse_graph)
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
                               builtin_problem, parse_config, random_problem,
                               run_config)
@@ -180,6 +189,32 @@ LS_PLAN_FIELDS = ("h", "beta0", "rho_hat", "M1", "M2", "Mprime",
                   "K", "member")
 
 
+def graph_cases():
+    for kind in ("cycle", "star", "complete"):
+        for n in (2, 3, 5, 100, 1000):
+            yield f"{kind}{n}", generate_graph(kind, n)
+    for p in CONSTANTS["ex3"]["p_values"]:
+        for seed in (11, 12):
+            yield (f"er100_p{p}_s{seed}",
+                   generate_graph("erdos_renyi", 100, p, seed=seed))
+    for n, p, seed in ((12, 0.15, 1), (20, 0.1, 5)):
+        yield f"er{n}_p{p}_s{seed}", generate_graph("erdos_renyi", n, p, seed)
+    yield "fig1", builtin_graph()
+    yield "parsed", parse_graph("# ring with a chord\nN 5\n2 1\n"
+                                "1 2  # repeated, reversed\n3 2\n4 3\n"
+                                "5 4\n5 1\n\n1 3 # chord\n3 1\n")
+
+
+def graph_digest(g) -> str:
+    lap = build_laplacian(g)
+    h = hashlib.sha256(format_graph(g).encode())
+    for a in (*g.arcs, g.degrees()):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(g.retries).encode())
+    h.update(np.array([lap.lambda2, lap.lambdaN]).tobytes())
+    return h.hexdigest()
+
+
 def planner_cases():
     g = builtin_graph()
     yield "fig1_ex1", builtin_problem("ex1"), g
@@ -240,6 +275,12 @@ def main() -> None:
         baseline.update(d.encode())
         print(f"{name:28s} rounds={tr.rounds:6d} {d}")
     print(f"{'baseline':28s} {baseline.hexdigest()}")
+    graphs = hashlib.sha256()
+    for name, g in graph_cases():
+        d = graph_digest(g)
+        graphs.update(d.encode())
+        print(f"{name:28s} retries={g.retries} {d}")
+    print(f"{'graphs':28s} {graphs.hexdigest()}")
 
 
 if __name__ == "__main__":
