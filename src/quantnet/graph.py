@@ -9,6 +9,7 @@ eigenvalue, and the maximum node degree.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,7 +103,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class LaplacianSummary:
-    """Laplacian matrix of ``graph`` with its extreme nonzero eigenvalues."""
+    """Laplacian matrix of ``graph`` (read-only) with its extreme nonzero
+    eigenvalues."""
 
     L: np.ndarray
     lambda2: float
@@ -260,14 +262,27 @@ def lanczos_extremes(apply, dim: int, max_iter: int):
     return None
 
 
+# build_laplacian's memo, id(g) -> summary of g. A summary holds its graph,
+# so the id cannot be reused while the entry lives, and the entry goes with
+# the caller's last reference to the summary: the memo holds nothing alive.
+_LAPLACIANS = weakref.WeakValueDictionary()
+
+
 def build_laplacian(g: Graph) -> LaplacianSummary:
     """Laplacian L = degree matrix - adjacency, with spectral summary.
 
     L is assembled from :attr:`Graph.arcs` with integer entries, so row
     sums are exactly zero. One symmetric eigensolve gives both lambda2 (the
     second-smallest eigenvalue, the algebraic connectivity) and lambdaN.
-    Raises ValueError for a disconnected graph.
+    Raises ValueError for a disconnected graph, on every call.
+
+    The summary is built once per ``Graph`` object: while any caller holds
+    it, a second call on the same graph returns the same object. A graph
+    and its ``edges`` are read-only, and so is ``L``, so it cannot go stale.
     """
+    lap = _LAPLACIANS.get(id(g))
+    if lap is not None and lap.graph is g:
+        return lap
     n = g.node_count
     if not g.is_connected():
         raise ValueError("graph not connected")
@@ -275,8 +290,11 @@ def build_laplacian(g: Graph) -> LaplacianSummary:
     L[g.arcs] = -1.0
     L[np.diag_indices(n)] = g.degrees()
     vals = np.linalg.eigvalsh(L)
-    return LaplacianSummary(L=L, lambda2=float(vals[1]),
-                            lambdaN=float(vals[-1]), graph=g)
+    L.flags.writeable = False
+    lap = LaplacianSummary(L=L, lambda2=float(vals[1]),
+                           lambdaN=float(vals[-1]), graph=g)
+    _LAPLACIANS[id(g)] = lap
+    return lap
 
 
 def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:

@@ -218,17 +218,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 # What a run reads. Each row names the keys that a mode, or a problem or
-# graph source, requires and the keys it may take; a source's row lists the
-# key that selects it first. A run reads the common keys and its three rows
-# (mode, problem source, graph source); any other key would be ignored, so
-# the config is rejected.
+# graph source, or a robust noise switch, requires and the keys it may take;
+# a source's row lists the key that selects it first. A run reads the common
+# keys and its three rows (mode, problem source, graph source), and in
+# robust mode the row of each noise switch that is on; any other key would
+# be ignored, so the config is rejected.
 _COMMON_KEYS = ("mode", "seed", "max_rounds", "stop_tol", "out")
 _EXACT_KEYS = ("solver.h", "solver.alpha", "solver.s0", "solver.K")
 _QUANTIZED_KEYS = ("strict_saturation", "solver.x0", "solver.cx")
-_NOISE_KEYS = tuple(k for k in _SCHEMA if k.startswith("noise."))
+_NOISE_SWITCHES = ("noise.init_enabled", "noise.roundoff_enabled")
 _READS = {   # row -> (required, optional)
     "exact mode": (_EXACT_KEYS, _QUANTIZED_KEYS),
-    "robust mode": (_EXACT_KEYS, _QUANTIZED_KEYS + _NOISE_KEYS),
+    "robust mode": (_EXACT_KEYS,
+                    _QUANTIZED_KEYS + ("noise.damping",) + _NOISE_SWITCHES),
+    "noise.init_enabled = true": ((), ("noise.init_lo", "noise.init_hi",
+                                       "noise.seed")),
+    "noise.roundoff_enabled = true": ((), ("noise.roundoff", "noise.seed")),
     "ls mode": (("solver.h", "solver.s_r", "solver.K", "gamma.k0",
                  "gamma.delta"), _QUANTIZED_KEYS),
     "baseline mode": (("solver.h",),
@@ -271,6 +276,8 @@ def _validate_semantics(values: dict) -> None:
     if values.get("graph.kind") == "erdos_renyi":
         graph = ["graph.kind = erdos_renyi"]
     rows = (f"{mode} mode", problem[0], graph[0])
+    if mode == "robust":
+        rows += tuple(f"{k} = true" for k in _NOISE_SWITCHES if values.get(k))
     reads = set(_COMMON_KEYS)
     for row in rows:
         required, optional = _READS[row]

@@ -12,12 +12,14 @@ from one entry point, :func:`stacked_extremes`: a dense eigensolve up to
 ``DENSE_MAX_DIM`` (m*N), Lanczos on the matrix-free product above it.
 :func:`build_stacked` calls it and returns :class:`StackedOperators`, the
 one spectral summary of a (problem, graph) pair that the planner, the
-solver and the oracles read. The Lanczos start vector comes from a private
-fixed seed; no user seed is drawn from.
+solver and the oracles read. It is built once per (problem, Laplacian)
+object pair and is read-only. The Lanczos start vector comes from a
+private fixed seed; no user seed is drawn from.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,16 +44,24 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LinearProblem:
-    """System z = H y with H of shape (N, m); row i belongs to node i."""
+    """System z = H y with H of shape (N, m); row i belongs to node i.
+
+    ``H`` and ``z`` are read-only float copies of the inputs, so a summary
+    built on the problem (:func:`build_stacked`) cannot go stale."""
 
     H: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+        H = _read_only(np.array(self.H, dtype=float))
+        z = _read_only(np.array(self.z, dtype=float))
         if H.ndim != 2:
             raise ValueError("H must be a matrix")
         if z.shape != (H.shape[0],):
@@ -85,6 +95,7 @@ class StackedOperators:
     (kron(L, I_m)), ``Hd`` (block-diagonal of h_i h_i^T) and ``Fd``
     (Lm + Hd) are assembled on first read, by the matrix-form oracle and
     the unquantized baseline only, so planning or solving allocates none.
+    Every array is read-only: callers that share the summary share them.
     """
 
     zH: np.ndarray          # stack of z_i * h_i
@@ -116,15 +127,15 @@ class StackedOperators:
 
     @cached_property
     def Lm(self) -> np.ndarray:
-        return _dense_lm(self.lap, self.m)
+        return _read_only(_dense_lm(self.lap, self.m))
 
     @cached_property
     def Hd(self) -> np.ndarray:
-        return _dense_hd(self.problem)
+        return _read_only(_dense_hd(self.problem))
 
     @cached_property
     def Fd(self) -> np.ndarray:
-        return self.Lm + _dense_hd(self.problem)
+        return _read_only(self.Lm + _dense_hd(self.problem))
 
 
 # classify: rank deficient when min eig(H^T H) <= _RANK_TOL * max eig(H^T H);
@@ -240,6 +251,12 @@ def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
     return sym_eig_extremes(_dense_lm(lap, p.dim) + _dense_hd(p))
 
 
+# build_stacked's memo, (id(p), id(lap)) -> summary of (p, lap). A summary
+# holds its problem and Laplacian, so neither id can be reused while the
+# entry lives, and the entry goes with the caller's last reference to it.
+_STACKED = weakref.WeakValueDictionary()
+
+
 def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     """The spectral summary of (p, lap) for the calculus, the solver and the
     oracles.
@@ -247,9 +264,18 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     ``fd_min`` and ``fd_max`` are those of :func:`stacked_extremes`;
     ``lambda2``, ``lambdaN`` and ``dstar`` are copied from ``lap``. The
     dense ``Lm``, ``Hd`` and ``Fd`` are assembled only when read.
+
+    The summary is built once per (problem, Laplacian) object pair: while
+    any caller holds it, a second call on the same pair returns the same
+    object, so the planner and every ``run_*`` on the pair share one
+    spectral set-up. The problem, the Laplacian and the summary are
+    read-only, so it cannot go stale.
     """
+    ops = _STACKED.get((id(p), id(lap)))
+    if ops is not None and ops.problem is p and ops.lap is lap:
+        return ops
     fd_min, fd_max = stacked_extremes(p, lap)
-    zH = (p.z[:, None] * p.H).reshape(-1)
+    zH = _read_only((p.z[:, None] * p.H).reshape(-1))
     # infinity norm = max absolute row sum; the block-diagonal structure
     # reduces both norms to per-block quantities. |h_a h_b| = |h_a| |h_b|
     # exactly, so the (N, m, m) stack of |h_i h_i^T| and its row sums carry
@@ -259,7 +285,7 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
     # spectral norm of a rank-1 block h_i h_i^T: max h_i.h_i, as one matmul
     # per row, which keeps the bits of h @ h (a row-wise einsum does not)
     hd_2 = float((p.H[:, None, :] @ p.H[:, :, None]).max())
-    return StackedOperators(
+    ops = StackedOperators(
         zH=zH, fd_min=float(fd_min), fd_max=float(fd_max),
         lambda2=lap.lambda2, lambdaN=lap.lambdaN, dstar=lap.dstar,
         m=p.dim, n=p.n_nodes, hd_inf_norm=hd_inf, hd_2_norm=hd_2,
@@ -267,6 +293,8 @@ def build_stacked(p: LinearProblem, lap: LaplacianSummary) -> StackedOperators:
         zh_2_norm=float(np.linalg.norm(zH)),
         problem=p, lap=lap,
     )
+    _STACKED[id(p), id(lap)] = ops
+    return ops
 
 
 def spectral_data(ops: StackedOperators, lap: LaplacianSummary,

@@ -50,14 +50,18 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   per-round values in the last bit on about 5% of rounds, and the
   kernel's LS scale s_r gamma(k-1) is a per-round value too.
 
-Run set-up, redone on every call: ``_setup`` is the one place that
-decides which systems a run accepts. Every ``run_*``, the unquantized
-baseline (``harness``) and ``quantnet oracle-check`` start from it, so
-they reject the same systems: a disconnected graph, a rank-deficient H,
-and, in exact and robust mode, a system without an exact solution. It
-builds the summary :func:`~quantnet.problem.build_stacked` of the problem
-on ``build_laplacian(g)``, the summary the planner reads, so the solver
-sees the same bits. Its ``fd_min``, ``h_cap_exact`` and ``lambdaN`` feed
+Run set-up: ``_setup`` is the one place that decides which systems a run
+accepts. Every ``run_*``, the unquantized baseline (``harness``) and
+``quantnet oracle-check`` start from it, so they reject the same systems:
+a disconnected graph, a rank-deficient H, and, in exact and robust mode, a
+system without an exact solution. Its checks and the guarantee warning
+run on every call. It reads the summary
+:func:`~quantnet.problem.build_stacked` of the problem on
+``build_laplacian(g)``. Both are built once per (problem, graph) object
+pair and are read-only, and ``LinearProblem`` holds read-only copies of
+its inputs: a run on a pair whose summary the caller (the planner, say)
+already holds reuses that summary, with its bits, and does no spectral
+set-up of its own. Its ``fd_min``, ``h_cap_exact`` and ``lambdaN`` feed
 the guarantee warning and the ``bound_Bk`` column; the dense stacked
 operator is never assembled. The set-up draws from no user seed, so x(0)
 and the robust draws above do not depend on it.
@@ -379,6 +383,9 @@ def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
 
     With an :class:`ExactConfig` the system must be exactly solvable, and
     (h, alpha) outside the guarantees warn, naming the caller of ``run_*``.
+    The summary is the one :func:`~quantnet.problem.build_stacked` keeps
+    per (p, g) pair while a caller holds it, so a run after the planner
+    rebuilds nothing; the checks and the warning run on every call.
     """
     sp = build_stacked(p, build_laplacian(g))
     cls = classify(p)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,46 @@ def test_disconnected_graph_rejected():
     g = Graph(4, frozenset({(1, 2), (3, 4)}))
     with pytest.raises(ValueError, match="not connected"):
         build_laplacian(g)
+
+
+def test_disconnected_graph_raises_on_every_call():
+    # a failed build is not memoised
+    g = Graph(4, [(1, 2), (3, 4)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not connected"):
+            build_laplacian(g)
+
+
+def test_laplacian_built_once_per_graph():
+    g = generate_graph("cycle", 6)
+    lap = build_laplacian(g)
+    assert build_laplacian(g) is lap
+    twin = build_laplacian(generate_graph("cycle", 6))
+    assert twin is not lap and twin.graph is not g
+    assert np.array_equal(twin.L, lap.L)
+    assert (twin.lambda2, twin.lambdaN) == (lap.lambda2, lap.lambdaN)
+
+
+def test_laplacian_summary_is_read_only():
+    lap = build_laplacian(generate_graph("star", 4))
+    with pytest.raises(ValueError, match="read-only"):
+        lap.L[0, 0] = 5.0
+
+
+def test_laplacian_memo_keeps_nothing_alive():
+    # with the collector off, only reference counts free objects: the graph
+    # and its summary go with the caller's last references, so the memo
+    # holds neither and forms no cycle with them
+    gc.disable()
+    try:
+        g = generate_graph("cycle", 7)
+        lap = build_laplacian(g)
+        assert build_laplacian(g) is lap
+        refs = [weakref.ref(g), weakref.ref(lap)]
+        del g, lap
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_generate_counts():

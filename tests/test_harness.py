@@ -80,6 +80,9 @@ solver.h = 0.1
 max_rounds = 50
 """
 
+ROBUST_CFG = EXACT_CFG.replace("mode = exact", "mode = robust").replace(
+    "max_rounds = 1500", "max_rounds = 300\nnoise.damping = 0.95")
+
 
 @pytest.mark.parametrize("edit, key", [
     (("solver.h = 0.1\n", ""), "solver.h"),
@@ -117,10 +120,17 @@ def test_baseline_config_missing_key_is_a_usage_error(tmp_path, capsys,
     (BASELINE_CFG + "solver.alpha = 0.5\n", "solver.alpha"),
     (EXACT_CFG + "solver.x0 = 0 0; 0 0; 0 0; 0 0; 0 0\nsolver.cx = 1\n",
      "solver.cx"),
+    (ROBUST_CFG + "noise.roundoff_enabled = true\nnoise.init_hi = 0.5\n",
+     "noise.init_hi"),
+    (ROBUST_CFG + "noise.init_enabled = true\nnoise.roundoff = 0.01\n",
+     "noise.roundoff"),
+    (ROBUST_CFG + "noise.init_enabled = false\nnoise.seed = 4\n",
+     "noise.seed"),
 ], ids=["kind_without_n", "random_n_without_m", "p_on_builtin",
         "seed_on_cycle", "gamma_in_exact", "noise_in_exact", "s_r_in_exact",
         "alpha_in_ls", "strict_in_baseline", "K_in_baseline",
-        "alpha_in_baseline", "cx_with_x0"])
+        "alpha_in_baseline", "cx_with_x0", "init_range_without_init",
+        "roundoff_without_roundoff", "noise_seed_without_noise"])
 def test_config_key_missing_or_ignored_is_a_usage_error(tmp_path, capsys,
                                                          text, key):
     with pytest.raises(ValueError, match=f"'{key}'"):
@@ -138,10 +148,29 @@ def test_config_keys_each_source_reads_are_accepted():
         "graph.p = 0.5\ngraph.seed = 3").replace(
         "problem.builtin = ex1", "problem.random.n = 8\nproblem.random.m = 2"
         "\nproblem.random.kind = exact\nproblem.random.seed = 1"))
-    parse_config(EXACT_CFG.replace("mode = exact", "mode = robust")
-                 + "noise.damping = 0.95\nnoise.seed = 2\n")
+    parse_config(ROBUST_CFG + "noise.roundoff_enabled = true\n"
+                 "noise.roundoff = 0.01\nnoise.seed = 2\n")
+    parse_config(ROBUST_CFG + "noise.init_enabled = true\nnoise.init_lo = 0.2"
+                 "\nnoise.init_hi = 0.5\nnoise.seed = 2\n")
     parse_config(BASELINE_CFG + "gamma.k0 = 26\ngamma.delta = 0.85\n"
                  "solver.cx = 1\nseed = 2\nstop_tol = 0\nout = x\n")
+
+
+def test_robust_noise_keys_without_their_switch_are_a_usage_error(
+        tmp_path, capsys):
+    # the run would draw no noise, so it would write the trace of the same
+    # config without these four keys
+    text = (ROBUST_CFG + "noise.init_lo = 0.2\nnoise.init_hi = 0.5\n"
+            "noise.roundoff = 0.01\nnoise.seed = 4\n")
+    with pytest.raises(ValueError, match="'noise.init_lo' would be ignored"):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "'noise.init_lo'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    cfg_path.write_text(ROBUST_CFG)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
 def test_parse_config_matrix_and_errors():

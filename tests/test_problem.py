@@ -1,4 +1,8 @@
+import gc
 import tracemalloc
+import warnings
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from quantnet.oracle import make_exact_operators, make_ls_operators
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, format_problem, parse_problem,
                               stacked_extremes, theta_n)
+from quantnet.solver import ExactConfig, run_exact
 
 
 def test_example1_exact_solution(ex1_problem):
@@ -346,3 +351,71 @@ def test_hd_inf_norm_matches_per_node_loop(name):
     ops = build_stacked(p, build_laplacian(generate_graph("cycle",
                                                           p.n_nodes)))
     assert ops.hd_inf_norm == loop
+
+
+def _cycle_setting(n=6, m=2, seed=1):
+    g = generate_graph("cycle", n)
+    p = random_problem(n, m, "exact", seed=seed)
+    return p, g, build_laplacian(g)
+
+
+def test_stacked_summary_built_once_per_pair():
+    p, g, lap = _cycle_setting()
+    ops = build_stacked(p, lap)
+    assert build_stacked(p, lap) is ops
+    assert build_stacked(p, build_laplacian(g)) is ops
+    # equal contents, other objects: an own summary with the same fields
+    twin_p = LinearProblem(H=p.H, z=p.z)
+    twin = build_stacked(twin_p, lap)
+    assert twin is not ops and twin.problem is twin_p
+    other_lap = build_laplacian(generate_graph("cycle", 6))
+    assert build_stacked(p, other_lap).lap is other_lap
+    for f in fields(ops):
+        if f.name not in ("problem", "lap"):
+            assert np.array_equal(getattr(twin, f.name),
+                                  getattr(ops, f.name)), f.name
+
+
+def test_problem_and_summary_are_read_only():
+    H, z = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0])
+    p = LinearProblem(H=H, z=z)
+    H[0, 0] = z[0] = 7.0      # the problem holds copies
+    assert p.H[0, 0] == 1.0 and p.z[0] == 1.0
+    ops = build_stacked(p, build_laplacian(generate_graph("cycle", 2)))
+    for a in (p.H, p.z, ops.lap.L, ops.zH, ops.Lm, ops.Hd, ops.Fd):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_stacked_memo_keeps_nothing_alive():
+    # with the collector off, only reference counts free objects: the memo
+    # holds no summary beyond its callers and forms no cycle with it
+    gc.disable()
+    try:
+        p, g, lap = _cycle_setting()
+        ops = build_stacked(p, lap)
+        ops.Fd
+        h = 1.0 / (ops.fd_min + ops.fd_max)
+        run_exact(p, g, ExactConfig(h=h, alpha=1.0 - 0.5 * h * ops.fd_min,
+                                    s0=1.0, K=100, max_rounds=5, cx=1.0))
+        refs = [weakref.ref(x) for x in (p, g, lap, ops)]
+        del p, g, lap, ops
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_run_checks_and_warns_on_every_call():
+    p, g, lap = _cycle_setting()
+    ops = build_stacked(p, lap)
+    cfg = ExactConfig(h=5.0 * ops.h_cap_exact, alpha=0.9, s0=1.0, K=10,
+                      max_rounds=3, stop_tol=0.0)
+    for _ in range(2):      # the second run reads the memoised summary
+        with pytest.warns(RuntimeWarning, match="guarantees"):
+            run_exact(p, g, cfg)
+    split = Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not connected"):
+                run_exact(p, split, cfg)

@@ -13,8 +13,8 @@ from quantnet.codec import NoiseModel, QuantizerSpec
 from quantnet.graph import Graph, build_laplacian, generate_graph
 from quantnet.harness import parse_config, random_problem, run_config
 from quantnet.planner import plan_exact, spectral_data
-from quantnet.problem import (DENSE_MAX_DIM, build_stacked, classify,
-                              stacked_extremes)
+from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
+                              classify, stacked_extremes)
 from quantnet.solver import (ExactConfig, GammaSchedule, LSConfig,
                              SaturationError, bound_B, iter_rounds, run_exact,
                              run_ls, run_robust, traces_dynamics_equal)
@@ -244,8 +244,11 @@ def test_bound_column_above_dense_size(cycle_above_dense_size):
 
 
 def test_spectral_setup_draws_from_no_user_seed(cycle_above_dense_size):
-    # x(0) and the robust draws match a bare kernel run with no set-up
-    p, g, _, _, cfg = cycle_above_dense_size
+    # x(0) and the robust draws match a bare kernel run with no set-up. The
+    # fixture holds the summary of its own (p, g), so copies make the run
+    # build one, by Lanczos, before it draws
+    fp, fg, _, _, cfg = cycle_above_dense_size
+    p, g = LinearProblem(H=fp.H, z=fp.z), Graph(fg.node_count, fg.edges)
     noise = NoiseModel(damping=0.95, init_error_range=(0.0, 0.5),
                        roundoff_amp=1e-4, seed=4, init_errors_enabled=True,
                        roundoff_enabled=True)
