@@ -6,9 +6,9 @@ small alphabets on the five-node benchmark, then runs the solver at K = 3
 since feasibility forces the scale decay alpha close to 1.
 """
 
-from quantnet import (ExactConfig, build_laplacian, build_stacked,
-                      builtin_graph, builtin_problem, plan_exact, run_exact,
-                      spectral_data, xi_membership)
+from quantnet import (ExactConfig, QuantizerSpec, build_laplacian,
+                      build_stacked, builtin_graph, builtin_problem,
+                      plan_exact, run_exact, spectral_data, xi_membership)
 
 p = builtin_problem("ex1")
 g = builtin_graph()
@@ -32,5 +32,6 @@ cfg = ExactConfig(h=plan.h, alpha=plan.alpha, s0=max(plan.s0_min, 1.0), K=3,
 tr = run_exact(p, g, cfg)
 print(f"\nK = 3 run: rounds={tr.rounds}  final err2={tr.err2[-1]:.3e}  "
       f"saturation={int(tr.saturation_count[-1])}")
-print(f"every symbol fits in {2} bits; total bits per node = "
+print(f"every symbol fits in {QuantizerSpec(cfg.K).bits_per_coord} bits; "
+      "total bits per node = "
       f"{int(tr.bits_cum[-1]) // p.n_nodes}")

@@ -15,15 +15,14 @@ from .harness import (CONSTANTS, ExperimentConfig, RunArtifacts,
                       builtin_graph, builtin_problem, load_config,
                       parse_config, random_problem, reproduce, run_config,
                       serialize_config)
-from .planner import (ExactPlan, LSPlan, alpha_star, h_hat_exact, h_hat_ls,
-                      kmin_from_m, m_prime, m_value, plan_exact, plan_ls,
-                      s0_lower_bound, spectral_data, sr_lower_bound,
-                      xi_ls_membership, xi_membership)
+from .planner import (ExactPlan, GammaSchedule, LSPlan, alpha_star, bound_B,
+                      h_hat_exact, h_hat_ls, kmin_from_m, m_prime, m_value,
+                      plan_exact, plan_ls, s0_lower_bound, spectral_data,
+                      sr_lower_bound, xi_ls_membership, xi_membership)
 from .problem import (LinearProblem, ProblemClassification, StackedOperators,
                       build_stacked, classify, stacked_extremes, theta_n)
-from .solver import (ExactConfig, GammaSchedule, LSConfig, SaturationError,
-                     Trace, bound_B, run_exact, run_ls, run_robust,
-                     traces_dynamics_equal)
+from .solver import (ExactConfig, LSConfig, SaturationError, Trace,
+                     run_exact, run_ls, run_robust, traces_dynamics_equal)
 
 __version__ = "0.1.0"
 
@@ -33,12 +32,12 @@ __all__ = [
     "LinearProblem", "ProblemClassification", "StackedOperators",
     "classify", "build_stacked", "stacked_extremes", "theta_n",
     "QuantizerSpec", "NoiseModel", "quantize", "quantize_vec",
-    "ExactConfig", "LSConfig", "GammaSchedule", "Trace", "SaturationError",
-    "bound_B", "run_exact", "run_ls", "run_robust", "traces_dynamics_equal",
-    "ExactPlan", "LSPlan", "spectral_data", "kmin_from_m", "m_value",
-    "s0_lower_bound", "xi_membership", "xi_ls_membership", "plan_exact",
-    "plan_ls", "alpha_star", "m_prime", "sr_lower_bound",
-    "h_hat_exact", "h_hat_ls",
+    "ExactConfig", "LSConfig", "Trace", "SaturationError", "run_exact",
+    "run_ls", "run_robust", "traces_dynamics_equal",
+    "ExactPlan", "LSPlan", "GammaSchedule", "bound_B", "spectral_data",
+    "kmin_from_m", "m_value", "s0_lower_bound", "xi_membership",
+    "xi_ls_membership", "plan_exact", "plan_ls", "alpha_star", "m_prime",
+    "sr_lower_bound", "h_hat_exact", "h_hat_ls",
     "ExperimentConfig", "RunArtifacts", "CONSTANTS", "load_config",
     "parse_config", "serialize_config", "random_problem", "reproduce",
     "run_config", "builtin_problem", "builtin_graph",

@@ -18,8 +18,7 @@ from .harness import (_solver_config, _validate_semantics, _write_output,
                       run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
-from .planner import (alpha_star, plan_exact, plan_ls, xi_membership,
-                      xi_ls_membership)
+from .planner import alpha_star, plan_exact, plan_ls
 from .problem import LinearProblem, build_stacked, load_problem, theta_n
 from .solver import LSConfig, _setup, iter_rounds
 
@@ -36,10 +35,6 @@ def _load_named_graph(spec: str) -> Graph:
     return load_graph(spec)
 
 
-def _spectral(problem: LinearProblem, graph: Graph):
-    return build_stacked(problem, build_laplacian(graph))
-
-
 def _cmd_plan(args) -> int:
     if args.kind == "exact":
         if args.delta is not None:
@@ -50,9 +45,7 @@ def _cmd_plan(args) -> int:
     elif args.cw is not None:
         raise ValueError("--cw applies to plan exact only")
     p = _load_named_problem(args.problem)
-    g = _load_named_graph(args.graph)
-    sp = _spectral(p, g)
-    rows = []
+    sp = build_stacked(p, build_laplacian(_load_named_graph(args.graph)))
     if args.kind == "exact":
         plan = plan_exact(args.K, args.eps, sp, cx=args.cx, cw=args.cw,
                           pick_fraction=args.pick_fraction)
@@ -61,10 +54,8 @@ def _cmd_plan(args) -> int:
             "alpha": plan.alpha, "rho_h": plan.rho_h, "M": plan.M,
             "Kmin_raw": plan.Kmin_raw, "Kmin": plan.Kmin,
             "h_star": plan.h_star, "s0_min": plan.s0_min,
-            "membership": xi_membership(plan.alpha, plan.h, args.K, sp),
         }
-        rows.append(("exact", args.K, plan.eps, plan.h, plan.alpha, plan.M,
-                     plan.Kmin, plan.s0_min, report["membership"]))
+        row = (plan.alpha, plan.M, plan.Kmin, plan.s0_min)
     else:
         delta = 0.85 if args.delta is None else args.delta
         plan = plan_ls(args.K, args.eps, sp, delta=delta,
@@ -76,18 +67,17 @@ def _cmd_plan(args) -> int:
             "Kmin_ls_raw": plan.Kmin_ls_raw, "Kmin_ls": plan.Kmin_ls,
             "k0": plan.gamma.k0, "delta": plan.gamma.delta,
             "sr_min": plan.sr_min, "h_star": plan.h_star_ls,
-            "membership": xi_ls_membership(plan.h, plan.beta0, args.K, sp,
-                                           args.cx or 0.0),
         }
-        rows.append(("ls", args.K, plan.eps, plan.h, plan.beta0, plan.Mprime,
-                     plan.Kmin_ls, plan.sr_min, report["membership"]))
+        row = (plan.beta0, plan.Mprime, plan.Kmin_ls, plan.sr_min)
+    report["membership"] = plan.member
     for key, val in report.items():
         print(f"{key} = {val}")
     if args.out:
         text = "kind,K,eps,h,alpha_or_beta0,M,Kmin,s_bound,membership\n"
-        text += "".join(",".join(str(v) for v in r) + "\n" for r in rows)
+        text += ",".join(str(v) for v in (args.kind, args.K, plan.eps,
+                                          plan.h, *row, plan.member)) + "\n"
         print(f"# wrote {_write_output(args.out, 'plan.csv', text)}")
-    return 0 if report["membership"] else 1
+    return 0 if plan.member else 1
 
 
 def _cmd_solve(args) -> int:
@@ -174,7 +164,7 @@ def _cmd_alpha_star(args) -> int:
         g = generate_graph(args.graph, p.n_nodes)
     else:
         g = _load_named_graph(args.graph)
-    sp = _spectral(p, g)
+    sp = build_stacked(p, build_laplacian(g))
     theta = theta_n(sp, sp.lap, sp.m, sp.n)
     print(f"theta_n = {theta:.17g}")
     for K in args.K:
@@ -205,7 +195,7 @@ def _cmd_sweep(args) -> int:
     for kind in kinds:
         g = generate_graph(kind, args.n,
                            0.5 if args.p is None else args.p, args.seed or 0)
-        sp = _spectral(p, g)
+        sp = build_stacked(p, build_laplacian(g))
         theta = theta_n(sp, sp.lap, sp.m, sp.n)
         for K in args.K:
             rows.append((kind, K, theta, alpha_star(K, sp)))

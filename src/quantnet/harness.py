@@ -17,11 +17,12 @@ import numpy as np
 
 from .codec import NoiseModel
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .planner import alpha_star, kmin_from_m, m_value, xi_membership
+from .planner import (GammaSchedule, alpha_star, kmin_from_m, m_value,
+                      xi_membership)
 from .problem import LinearProblem, build_stacked, load_problem, theta_n
-from .solver import (STOP_TOL_DEFAULT, ExactConfig, GammaSchedule, LSConfig,
-                     Trace, _initial_states, _setup, run_exact, run_ls,
-                     run_robust, traces_dynamics_equal)
+from .solver import (STOP_TOL_DEFAULT, ExactConfig, LSConfig, Trace,
+                     _initial_states, _setup, run_exact, run_ls, run_robust,
+                     traces_dynamics_equal)
 
 __all__ = [
     "ExperimentConfig",

@@ -36,17 +36,15 @@ class ExactOperators:
 
     Lm: np.ndarray      # kron(L, I_m)
     Fd: np.ndarray
-    Ph: np.ndarray      # I - h Fd
     ones_y: np.ndarray  # stacked replication of the reference solution
 
 
 def make_exact_operators(ops: StackedOperators, lap: LaplacianSummary,
                          h: float, y_ref: np.ndarray) -> ExactOperators:
-    """``lap`` must be the summary's."""
+    """``lap`` must be the summary's. ``h`` is not read: each step takes
+    its own gain."""
     spectral_data(ops, lap, ops.m, ops.n)
-    return ExactOperators(Lm=ops.Lm, Fd=ops.Fd,
-                          Ph=np.eye(ops.Fd.shape[0]) - h * ops.Fd,
-                          ones_y=np.tile(y_ref, ops.n))
+    return ExactOperators(Lm=ops.Lm, Fd=ops.Fd, ones_y=np.tile(y_ref, ops.n))
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,13 @@ def compact_exact_step(st: CompactExactState, alpha: float, h: float,
     """One exact-mode step of the compact recursion.
 
     theta(k) = (I + h Lm) eps(k) - h Fd omega(k);
-    omega(k+1) = (Ph omega(k) + h Lm eps(k)) / alpha;
+    omega(k+1) = ((I - h Fd) omega(k) + h Lm eps(k)) / alpha;
     eps(k+1) = (theta(k) - Q_K(theta(k))) / alpha.
     """
-    theta = st.eps + h * (ops.Lm @ st.eps) - h * (ops.Fd @ st.omega)
-    omega_next = (ops.Ph @ st.omega + h * (ops.Lm @ st.eps)) / alpha
+    lap_term = h * (ops.Lm @ st.eps)
+    fd_term = h * (ops.Fd @ st.omega)
+    theta = st.eps + lap_term - fd_term
+    omega_next = (st.omega - fd_term + lap_term) / alpha
     eps_next = (theta - quantize_vec(theta, K)[0]) / alpha
     return CompactExactState(omega=omega_next, eps=eps_next)
 
@@ -133,12 +133,12 @@ def compact_ls_step(st: CompactLSState, h: float, s_r: float, gamma_k: float,
     Lx = ops.Lm @ st.x
     Hx = ops.Hd @ st.x
     Leps = ops.Lm @ st.eps
+    Leta = ops.Lm @ st.eta
     x_next = (st.x - h * (Lx + gamma_k * Hx)
               + h * gamma_k * (s_r * Leps + ops.zH))
-    eta_next = beta_k * (st.eta - h * (ops.Lm @ st.eta) + h * s_r * Leps
+    eta_next = beta_k * (st.eta - h * Leta + h * s_r * Leps
                          + h * (ops.Dm @ (ops.zH - Hx)))
-    theta = (st.eps + h * Leps
-             - (h / s_r) * (ops.Lm @ st.eta + Hx - ops.zH))
+    theta = (st.eps + h * Leps - (h / s_r) * (Leta + Hx - ops.zH))
     eps_next = beta_k * (theta - quantize_vec(theta, K)[0])
     return CompactLSState(x=x_next, eta=eta_next, eps=eps_next)
 

@@ -4,8 +4,13 @@ Everything here is pure arithmetic on the spectral summary of a
 (problem, graph) pair, :class:`~quantnet.problem.StackedOperators`: how many
 quantization levels a given (gain, scale-decay) pair needs, how large the
 initial scale must be to rule out saturation, which parameter pairs are
-feasible for a given alphabet size, and the smallest achievable scale-decay
-factor for a given alphabet.
+feasible for a given alphabet size, the smallest achievable scale-decay
+factor for a given alphabet, the exact-mode error envelope :func:`bound_B`
+and the least-squares gain schedule :class:`GammaSchedule`.
+
+:func:`xi_membership` (Xi(K)) and :func:`xi_ls_membership` (Xi_LS(K)) are
+the one feasibility check: plans store their answer in ``member``, and
+``solver._setup`` warns outside them. Nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import StackedOperators, spectral_data
-from .solver import GammaSchedule
 
 __all__ = [
+    "GammaSchedule",
     "ExactPlan",
     "LSPlan",
+    "bound_B",
     "spectral_data",
     "m_value",
     "kmin_from_m",
@@ -48,6 +54,39 @@ _ALPHA_STAR_H_FRACTION = 0.999
 
 
 @dataclass(frozen=True)
+class GammaSchedule:
+    """Diminishing gain gamma(k) = (k0 / (k + k0))**delta.
+
+    gamma(0) = 1; the ratio beta(k) = gamma(k)/gamma(k+1) decreases toward 1.
+    """
+
+    k0: float
+    delta: float
+
+    def __post_init__(self):
+        if self.k0 <= 0:
+            raise ValueError("k0 must be positive")
+        if not (0.5 < self.delta <= 1.0):
+            raise ValueError("delta must lie in (1/2, 1]")
+
+    def gamma(self, k) -> float:
+        """gamma(k) for a round k, or elementwise for an array of rounds.
+
+        On an array, numpy's vectorised pow can differ in the last bit from
+        the one-round values; callers that must match those bits (the trace
+        column ``ratio_err_gamma``) call it once per round.
+        """
+        return (self.k0 / (k + self.k0)) ** self.delta
+
+    def beta(self, k) -> float:
+        return (1.0 + 1.0 / (np.asarray(k, dtype=float) + self.k0)) ** self.delta
+
+    @property
+    def beta0(self) -> float:
+        return float((1.0 + 1.0 / self.k0) ** self.delta)
+
+
+@dataclass(frozen=True)
 class ExactPlan:
     h: float
     alpha: float
@@ -58,8 +97,8 @@ class ExactPlan:
     s0_min: float | None
     eps: float | None
     h_star: float | None
-    K: int | None = None
-    member: bool | None = None
+    K: int
+    member: bool
 
 
 @dataclass(frozen=True)
@@ -76,8 +115,8 @@ class LSPlan:
     gamma: GammaSchedule | None
     eps: float | None
     h_star_ls: float | None
-    K: int | None = None
-    member: bool | None = None
+    K: int
+    member: bool
 
 
 def kmin_from_m(m_val: float) -> int:
@@ -96,6 +135,26 @@ def m_value(alpha: float, h: float, sp: StackedOperators) -> float:
         raise ValueError("alpha must exceed 1 - h*fd_min")
     return ((1.0 + 2.0 * h * sp.dstar) / (2.0 * alpha)
             + h * h * math.sqrt(sp.m * sp.n) * sp.lambdaN * sp.fd_max
+            / (2.0 * alpha * (alpha - rho_h)))
+
+
+def bound_B(k, h: float, s0: float, alpha: float, sp: StackedOperators):
+    """Closed-form exponential envelope for the exact-mode error norm.
+
+    B(k) = h * s0 * alpha**k * sqrt(mN) * lambdaN / (2 alpha (alpha - rho_h))
+    with rho_h = 1 - h * fd_min. Only defined for alpha > rho_h.
+    """
+    rho_h = 1.0 - h * sp.fd_min
+    if alpha <= rho_h:
+        raise ValueError("rate bound undefined: alpha must exceed 1 - h*fd_min")
+    kk = np.asarray(k, dtype=float)
+    power = alpha ** kk
+    if kk.ndim:
+        # numpy squares for a scalar exponent of 2, and its vectorised pow
+        # can differ from that in the last bit: keep bound_B(ks) equal, bit
+        # for bit, to the per-round bound_B(k)
+        power[kk == 2.0] = alpha * alpha
+    return (h * s0 * power * np.sqrt(sp.m * sp.n) * sp.lambdaN
             / (2.0 * alpha * (alpha - rho_h)))
 
 
@@ -147,10 +206,10 @@ def h_star_exact(K: int, eps: float, sp: StackedOperators) -> float:
 def plan_exact(K: int, eps: float, sp: StackedOperators,
                cx: float | None = None, cw: float | None = None,
                pick_fraction: float = 0.5) -> ExactPlan:
-    """Feasible (alpha, h) for a given alphabet via the eps parametrization.
+    """(alpha, h) for a given alphabet from the eps parametrization.
 
-    h = pick_fraction * h*; alpha = 1 - (1 - eps) h fd_min. Membership is
-    re-verified and a failure indicates a formula bug.
+    h = pick_fraction * h*; alpha = 1 - (1 - eps) h fd_min. ``member`` is
+    :func:`xi_membership` of the planned pair.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -159,9 +218,6 @@ def plan_exact(K: int, eps: float, sp: StackedOperators,
     h_star = h_star_exact(K, eps, sp)
     h = pick_fraction * h_star
     alpha = 1.0 - (1.0 - eps) * h * sp.fd_min
-    if not xi_membership(alpha, h, K, sp):
-        raise AssertionError("planned pair failed feasibility "
-                             "(internal formula error)")
     mval = m_value(alpha, h, sp)
     kmin_raw = kmin_from_m(mval)
     s0_min = None
@@ -169,7 +225,8 @@ def plan_exact(K: int, eps: float, sp: StackedOperators,
         s0_min = s0_lower_bound(alpha, h, cx, cw, K, sp)
     return ExactPlan(h=h, alpha=alpha, rho_h=1.0 - h * sp.fd_min, M=mval,
                      Kmin_raw=kmin_raw, Kmin=max(1, kmin_raw), s0_min=s0_min,
-                     eps=eps, h_star=h_star, K=K, member=True)
+                     eps=eps, h_star=h_star, K=K,
+                     member=xi_membership(alpha, h, K, sp))
 
 
 def alpha_star(K: int, sp: StackedOperators) -> float:
@@ -265,10 +322,11 @@ def sr_lower_bound(h: float, K: int, cx: float, sp: StackedOperators,
 
 def plan_ls(K: int, eps: float, sp: StackedOperators, delta: float,
             cx: float = 0.0, pick_fraction: float = 0.5) -> LSPlan:
-    """Feasible (h, beta0) for a given alphabet in least-squares mode.
+    """(h, beta0) for a given alphabet in least-squares mode.
 
     h = pick_fraction * h*; 1/beta0 = 1 - (1-eps) h lambda2; the schedule
-    offset follows from k0 = 1/(beta0**(1/delta) - 1).
+    offset follows from k0 = 1/(beta0**(1/delta) - 1). ``member`` is
+    :func:`xi_ls_membership` of the planned pair.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -277,9 +335,6 @@ def plan_ls(K: int, eps: float, sp: StackedOperators, delta: float,
     h_star = h_star_ls(K, eps, sp)
     h = pick_fraction * h_star
     beta0 = 1.0 / (1.0 - (1.0 - eps) * h * sp.lambda2)
-    if not xi_ls_membership(h, beta0, K, sp, cx):
-        raise AssertionError("planned pair failed feasibility "
-                             "(internal formula error)")
     m1, m2, mp, kmin_raw = m_prime(h, beta0, sp, cx)
     k0 = 1.0 / (beta0 ** (1.0 / delta) - 1.0)
     sched = GammaSchedule(k0=k0, delta=delta)
@@ -287,4 +342,5 @@ def plan_ls(K: int, eps: float, sp: StackedOperators, delta: float,
                   M1=m1, M2=m2, Mprime=mp,
                   Kmin_ls_raw=kmin_raw, Kmin_ls=max(1, kmin_raw),
                   sr_min=sr_lower_bound(h, K, cx, sp, m1, m2),
-                  gamma=sched, eps=eps, h_star_ls=h_star, K=K, member=True)
+                  gamma=sched, eps=eps, h_star_ls=h_star, K=K,
+                  member=xi_ls_membership(h, beta0, K, sp, cx))

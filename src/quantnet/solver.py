@@ -61,10 +61,12 @@ run on every call. It reads the summary
 pair and are read-only, and ``LinearProblem`` holds read-only copies of
 its inputs: a run on a pair whose summary the caller (the planner, say)
 already holds reuses that summary, with its bits, and does no spectral
-set-up of its own. Its ``fd_min``, ``h_cap_exact`` and ``lambdaN`` feed
-the guarantee warning and the ``bound_Bk`` column; the dense stacked
-operator is never assembled. The set-up draws from no user seed, so x(0)
-and the robust draws above do not depend on it.
+set-up of its own. The guarantee warning asks the planner's
+:func:`~quantnet.planner.xi_membership` (exact and robust runs) or
+:func:`~quantnet.planner.xi_ls_membership` (least-squares runs); the
+summary also feeds ``bound_Bk`` (:func:`~quantnet.planner.bound_B`). The
+dense stacked operator is never assembled. The set-up draws from no user
+seed, so x(0) and the robust draws above do not depend on it.
 """
 
 from __future__ import annotations
@@ -78,15 +80,14 @@ import numpy as np
 
 from .codec import NoiseModel, QuantizerSpec, quantize_vec
 from .graph import Graph, build_laplacian, per_receiver_sum
+from .planner import GammaSchedule, bound_B, xi_ls_membership, xi_membership
 from .problem import LinearProblem, build_stacked, classify
 
 __all__ = [
     "ExactConfig",
     "LSConfig",
-    "GammaSchedule",
     "Trace",
     "SaturationError",
-    "bound_B",
     "run_exact",
     "run_ls",
     "run_robust",
@@ -109,39 +110,6 @@ class SaturationError(RuntimeError):
     def __init__(self, round_index: int):
         super().__init__(f"quantizer saturated at round {round_index}")
         self.round_index = round_index
-
-
-@dataclass(frozen=True)
-class GammaSchedule:
-    """Diminishing gain gamma(k) = (k0 / (k + k0))**delta.
-
-    gamma(0) = 1; the ratio beta(k) = gamma(k)/gamma(k+1) decreases toward 1.
-    """
-
-    k0: float
-    delta: float
-
-    def __post_init__(self):
-        if self.k0 <= 0:
-            raise ValueError("k0 must be positive")
-        if not (0.5 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (1/2, 1]")
-
-    def gamma(self, k) -> float:
-        """gamma(k) for a round k, or elementwise for an array of rounds.
-
-        On an array, numpy's vectorised pow can differ in the last bit from
-        the one-round values; callers that must match those bits (the trace
-        column ``ratio_err_gamma``) call it once per round.
-        """
-        return (self.k0 / (k + self.k0)) ** self.delta
-
-    def beta(self, k) -> float:
-        return (1.0 + 1.0 / (np.asarray(k, dtype=float) + self.k0)) ** self.delta
-
-    @property
-    def beta0(self) -> float:
-        return float((1.0 + 1.0 / self.k0) ** self.delta)
 
 
 @dataclass(frozen=True)
@@ -265,27 +233,6 @@ def traces_dynamics_equal(a: Trace, b: Trace) -> bool:
     )
 
 
-def bound_B(k, h: float, s0: float, alpha: float, fd_min: float,
-            lambdaN: float, m: int, n: int):
-    """Closed-form exponential envelope for the exact-mode error norm.
-
-    B(k) = h * s0 * alpha**k * sqrt(mN) * lambdaN / (2 alpha (alpha - rho_h))
-    with rho_h = 1 - h * fd_min. Only defined for alpha > rho_h.
-    """
-    rho_h = 1.0 - h * fd_min
-    if alpha <= rho_h:
-        raise ValueError("rate bound undefined: alpha must exceed 1 - h*fd_min")
-    kk = np.asarray(k, dtype=float)
-    power = alpha ** kk
-    if kk.ndim:
-        # numpy squares for a scalar exponent of 2, and its vectorised pow
-        # can differ from that in the last bit: keep bound_B(ks) equal, bit
-        # for bit, to the per-round bound_B(k)
-        power[kk == 2.0] = alpha * alpha
-    return (h * s0 * power * np.sqrt(m * n) * lambdaN
-            / (2.0 * alpha * (alpha - rho_h)))
-
-
 def _initial_states(p: LinearProblem, x0, cx, seed: int) -> np.ndarray:
     """x(0): ``x0`` if given, else uniform in [-cx, cx] from ``seed``,
     else zero."""
@@ -381,8 +328,9 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
 def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
     """(summary, y_ref) of a run, or ``ValueError`` for a system it rejects.
 
-    With an :class:`ExactConfig` the system must be exactly solvable, and
-    (h, alpha) outside the guarantees warn, naming the caller of ``run_*``.
+    With an :class:`ExactConfig` the system must be exactly solvable. A
+    configuration outside the planner's Xi(K) (:class:`ExactConfig`) or
+    Xi_LS(K) (:class:`LSConfig`) warns, naming the caller of ``run_*``.
     The summary is the one :func:`~quantnet.problem.build_stacked` keeps
     per (p, g) pair while a caller holds it, so a run after the planner
     rebuilds nothing; the checks and the warning run on every call.
@@ -394,11 +342,13 @@ def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
     if isinstance(cfg, ExactConfig):
         if cls.kind != "UniqueExact":
             raise ValueError("exact mode requires an exactly solvable system")
-        rho_h = 1.0 - cfg.h * sp.fd_min
-        if (not (0.0 < cfg.h < sp.h_cap_exact)
-                or not (rho_h < cfg.alpha < 1.0)):
-            warnings.warn("configuration violates the convergence guarantees; "
-                          "running anyway", RuntimeWarning, stacklevel=4)
+        member = xi_membership(cfg.alpha, cfg.h, cfg.K, sp)
+    else:
+        member = (not isinstance(cfg, LSConfig)
+                  or xi_ls_membership(cfg.h, cfg.gamma.beta0, cfg.K, sp))
+    if not member:
+        warnings.warn("configuration violates the convergence guarantees; "
+                      "running anyway", RuntimeWarning, stacklevel=4)
     return sp, cls.solution
 
 
@@ -457,8 +407,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
             break
 
     ks = np.arange(len(err2))
-    bound = (bound_B(ks, cfg.h, cfg.s0, cfg.alpha, sp.fd_min, sp.lambdaN,
-                     m, n) if have_bound else None)
+    bound = bound_B(ks, cfg.h, cfg.s0, cfg.alpha, sp) if have_bound else None
     einf = np.concatenate(cols["einf"])
     ratio = None
     if mode == "ls":

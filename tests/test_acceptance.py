@@ -27,12 +27,12 @@ from quantnet.codec import NoiseModel, quantize_vec
 from quantnet.graph import build_laplacian, generate_graph
 from quantnet.harness import (CONSTANTS, parse_config, random_problem,
                               run_config)
-from quantnet.planner import (alpha_star, kmin_from_m, m_prime, m_value,
-                              s0_lower_bound, spectral_data, sr_lower_bound,
-                              xi_ls_membership, xi_membership)
+from quantnet.planner import (GammaSchedule, alpha_star, kmin_from_m,
+                              m_prime, m_value, s0_lower_bound, spectral_data,
+                              sr_lower_bound, xi_ls_membership, xi_membership)
 from quantnet.problem import build_stacked, classify, theta_n
-from quantnet.solver import (ExactConfig, GammaSchedule, LSConfig, run_exact,
-                             run_ls, run_robust, traces_dynamics_equal)
+from quantnet.solver import (ExactConfig, LSConfig, run_exact, run_ls,
+                             run_robust, traces_dynamics_equal)
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +95,11 @@ def test_criterion_03_bound_dominates(five_exact):
 def test_criterion_04_data_rate_inert(five_exact):
     p, g, _, ops, _ = five_exact
     h = 1.98 / (ops.fd_min + ops.fd_max)
-    traces = [run_exact(p, g, ExactConfig(h=h, alpha=0.98, s0=1.0, K=K,
-                                          max_rounds=3000))
-              for K in (100, 300, 1000)]
+    # K = 100 lies below Kmin = 225 and warns
+    with pytest.warns(RuntimeWarning):
+        traces = [run_exact(p, g, ExactConfig(h=h, alpha=0.98, s0=1.0, K=K,
+                                              max_rounds=3000))
+                  for K in (100, 300, 1000)]
     assert traces_dynamics_equal(traces[0], traces[1])
     assert traces_dynamics_equal(traces[0], traces[2])
 
@@ -218,9 +220,11 @@ def test_criterion_08_table_rows_membership(five_ls_sp, row):
 def ls_traces(ex4_setting):
     p, g, _, _, _ = ex4_setting
     sched = GammaSchedule(26.0, 0.85)
-    return {K: run_ls(p, g, LSConfig(h=0.0853, K=K, s_r=0.82, gamma=sched,
-                                     max_rounds=20000))
-            for K in (300, 900, 1800)}
+    # every K here lies below Kmin' = 2770 (criterion 8), so each run warns
+    with pytest.warns(RuntimeWarning):
+        return {K: run_ls(p, g, LSConfig(h=0.0853, K=K, s_r=0.82,
+                                         gamma=sched, max_rounds=20000))
+                for K in (300, 900, 1800)}
 
 
 def test_criterion_09_ls_convergence(ls_traces, ex4_problem):
@@ -245,7 +249,8 @@ def test_criterion_10_ls_oracle(ex4_setting):
     p, g, lap, ops, _ = ex4_setting
     cfg = LSConfig(h=0.0853, K=900, s_r=0.82,
                    gamma=GammaSchedule(26.0, 0.85), max_rounds=2000)
-    assert _oracle_deviation(p, g, cfg) < 1e-8
+    with pytest.warns(RuntimeWarning):     # K = 900 < Kmin' = 2770
+        assert _oracle_deviation(p, g, cfg) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import numpy as np
@@ -8,7 +9,9 @@ from quantnet.cli import main
 from quantnet.harness import (CONSTANTS, builtin_graph, builtin_problem,
                               parse_config, random_problem, reproduce,
                               run_config, serialize_config)
-from quantnet.problem import classify
+from quantnet.graph import build_laplacian, generate_graph, save_graph
+from quantnet.planner import alpha_star
+from quantnet.problem import build_stacked, classify, save_problem
 
 EXACT_CFG = """
 # five-node exact run
@@ -266,13 +269,15 @@ def test_baseline_starts_from_the_solvers_x0():
 def test_run_config_byte_determinism(tmp_path):
     cfg = parse_config(LS_CFG)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_config(cfg).save_csv(p1)
-    run_config(cfg).save_csv(p2)
+    with pytest.warns(RuntimeWarning):     # K = 900 < Kmin' = 2770
+        run_config(cfg).save_csv(p1)
+        run_config(cfg).save_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_summary_recompute():
-    tr = run_config(parse_config(LS_CFG))
+    with pytest.warns(RuntimeWarning):
+        tr = run_config(parse_config(LS_CFG))
     s = tr.summary()
     assert s["rounds"] == int(tr.k[-1])
     assert s["final_err2"] == pytest.approx(float(tr.err2[-1]))
@@ -288,7 +293,10 @@ def test_reproduce_unknown_id():
 @pytest.mark.parametrize("example_id", ["ex1_thm1", "ex2", "ex3"])
 def test_reproduce_writes_csvs_that_match_the_summary(example_id, tmp_path):
     options = {"graphs_per_p": 2} if example_id == "ex3" else {}
-    arts = reproduce(example_id, out_dir=tmp_path, **options)
+    # ex1_thm1 runs K = 100, below Kmin = 225
+    with (pytest.warns(RuntimeWarning) if example_id == "ex1_thm1"
+          else contextlib.nullcontext()):
+        arts = reproduce(example_id, out_dir=tmp_path, **options)
     assert arts.ok
     tables = {}
     for path in arts.trace_paths:
@@ -350,6 +358,64 @@ def test_cli_oracle_check(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(EXACT_CFG)
     assert main(["oracle-check", str(cfg_path), "--max-rounds", "100"]) == 0
+
+
+@pytest.mark.parametrize("text", [ROBUST_CFG, BASELINE_CFG],
+                         ids=["robust", "baseline"])
+def test_cli_oracle_check_refuses_other_modes(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["oracle-check", str(cfg_path)]) == 2
+    assert "exact and ls modes only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex4"])
+def test_cli_plan_outside_the_set_exits_1(capsys, problem):
+    # the eps-slice gain at K = 1 gives Mprime just above K + 1/2
+    assert main(["plan", "ls", "--K", "1", "--problem", problem]) == 1
+    out = capsys.readouterr().out
+    assert "membership = False" in out
+
+
+def test_cli_sweep(tmp_path, capsys):
+    assert main(["sweep", "--graph-kinds", "cycle,star", "--n", "6", "--m",
+                 "2", "--K", "10", "100", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph,K,theta_n,alpha_star"
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [
+        ["cycle", "10"], ["cycle", "100"], ["star", "10"], ["star", "100"]]
+    p = random_problem(6, 2, "exact", 3)
+    sp = build_stacked(p, build_laplacian(generate_graph("star", 6)))
+    assert float(lines[4].split(",")[3]) == alpha_star(100, sp)
+    assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_cli_reproduce(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning):     # K = 100 < Kmin = 225
+        assert main(["reproduce", "ex1_thm1", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    checks = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert checks and all(ln.startswith("[PASS]") for ln in checks)
+    assert "[PASS] bound_dominates_error" in out
+    assert (tmp_path / "ex1_thm1_K100.csv").exists()
+
+
+def test_problem_and_graph_files_match_the_builtins(tmp_path, capsys):
+    prob, graph = tmp_path / "ex1.txt", tmp_path / "fig1.txt"
+    save_problem(builtin_problem("ex1"), prob)
+    save_graph(builtin_graph(), graph)
+    text = EXACT_CFG.replace("problem.builtin = ex1", f"problem.file = {prob}"
+                             ).replace("graph.builtin = fig1",
+                                       f"graph.file = {graph}")
+    assert (run_config(parse_config(text)).csv_text()
+            == run_config(parse_config(EXACT_CFG)).csv_text())
+    plans = []
+    for argv in (["--problem", "ex1", "--graph", "fig1"],
+                 ["--problem", str(prob), "--graph", str(graph)]):
+        assert main(["plan", "exact", "--K", "300", *argv]) == 0
+        plans.append(capsys.readouterr().out)
+    assert plans[0] == plans[1]
 
 
 def test_cli_solve_overrides(tmp_path):

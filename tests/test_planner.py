@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from quantnet.graph import build_laplacian, generate_graph
-from quantnet.planner import (alpha_star, h_hat_exact, h_hat_ls,
-                              h_star_exact, kmin_from_m, m_prime, m_value,
-                              plan_exact, plan_ls, s0_lower_bound,
+from quantnet.planner import (GammaSchedule, alpha_star, h_hat_exact,
+                              h_hat_ls, h_star_exact, kmin_from_m, m_prime,
+                              m_value, plan_exact, plan_ls, s0_lower_bound,
                               spectral_data, sr_lower_bound, xi_ls_membership,
                               xi_membership)
-from quantnet.solver import GammaSchedule
 
 
 def test_spectral_data_checks_and_returns_the_summary(ex1_setting):
@@ -175,6 +174,22 @@ def test_plan_ls_self_consistent(ex4_setting):
     assert plan.gamma is not None
     # schedule offset round-trips: beta(0) of the schedule equals beta0
     assert plan.gamma.beta0 == pytest.approx(plan.beta0, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 300])
+def test_plans_store_the_one_membership_check(ex1_setting, ex4_setting, K):
+    sp1, sp4 = ex1_setting[4], ex4_setting[4]
+    exact = plan_exact(K, 0.5, sp1)
+    assert exact.member == xi_membership(exact.alpha, exact.h, K, sp1)
+    ls = plan_ls(K, 0.5, sp4, delta=0.85)
+    assert ls.member == xi_ls_membership(ls.h, ls.beta0, K, sp4)
+
+
+def test_plan_ls_outside_the_set_returns_member_false(ex4_setting):
+    # at K = 1 the eps-slice gain gives Mprime just above K + 1/2
+    plan = plan_ls(1, 0.5, ex4_setting[4], delta=0.85)
+    assert plan.member is False
+    assert 1.5 < plan.Mprime < 1.51
 
 
 def test_sr_lower_bound_branches(ex4_setting):

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import io
 import math
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,12 +15,13 @@ from quantnet import solver
 from quantnet.codec import NoiseModel, QuantizerSpec
 from quantnet.graph import Graph, build_laplacian, generate_graph
 from quantnet.harness import parse_config, random_problem, run_config
-from quantnet.planner import plan_exact, spectral_data
+from quantnet.planner import (GammaSchedule, bound_B, plan_exact, plan_ls,
+                              spectral_data, xi_ls_membership, xi_membership)
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, stacked_extremes)
-from quantnet.solver import (ExactConfig, GammaSchedule, LSConfig,
-                             SaturationError, bound_B, iter_rounds, run_exact,
-                             run_ls, run_robust, traces_dynamics_equal)
+from quantnet.solver import (ExactConfig, LSConfig, SaturationError,
+                             iter_rounds, run_exact, run_ls, run_robust,
+                             traces_dynamics_equal)
 
 
 def _ex1_h(ex1_setting):
@@ -43,7 +47,8 @@ def test_exact_fixed_point(ex1_setting):
     x0 = np.tile(y, (5, 1))
     cfg = ExactConfig(h=_ex1_h(ex1_setting), alpha=0.98, s0=1e9, K=10,
                       max_rounds=50, stop_tol=0.0, x0=x0)
-    tr = run_exact(p, g, cfg)
+    with pytest.warns(RuntimeWarning):     # K = 10 < Kmin = 225
+        tr = run_exact(p, g, cfg)
     assert np.allclose(tr.x_final, x0, atol=1e-12)
     assert tr.err2[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -51,9 +56,10 @@ def test_exact_fixed_point(ex1_setting):
 def test_exact_data_rate_inert(ex1_setting):
     p, g, _, _, _ = ex1_setting
     h = _ex1_h(ex1_setting)
-    traces = [run_exact(p, g, ExactConfig(h=h, alpha=0.98, s0=1.0, K=K,
-                                          max_rounds=500))
-              for K in (100, 300, 1000)]
+    with pytest.warns(RuntimeWarning):     # K = 100 < Kmin = 225
+        traces = [run_exact(p, g, ExactConfig(h=h, alpha=0.98, s0=1.0, K=K,
+                                              max_rounds=500))
+                  for K in (100, 300, 1000)]
     assert traces_dynamics_equal(traces[0], traces[1])
     assert traces_dynamics_equal(traces[0], traces[2])
     # bit accounting does depend on the alphabet size
@@ -61,35 +67,34 @@ def test_exact_data_rate_inert(ex1_setting):
 
 
 def test_trace_bound_column(ex1_setting):
-    p, g, lap, ops, _ = ex1_setting
+    p, g, _, ops, _ = ex1_setting
     h = _ex1_h(ex1_setting)
     cfg = ExactConfig(h=h, alpha=0.98, s0=1.0, K=300, max_rounds=100)
     tr = run_exact(p, g, cfg)
-    expect = bound_B(np.arange(len(tr.k)), h, 1.0, 0.98, ops.fd_min,
-                     lap.lambdaN, 2, 5)
+    expect = bound_B(np.arange(len(tr.k)), h, 1.0, 0.98, ops)
     assert np.allclose(tr.bound_Bk, expect, rtol=1e-12)
 
 
 def test_bound_B_properties(ex1_setting):
-    _, _, lap, ops, _ = ex1_setting
+    _, _, _, ops, _ = ex1_setting
     h = _ex1_h(ex1_setting)
-    b0 = bound_B(0, h, 1.0, 0.98, ops.fd_min, lap.lambdaN, 2, 5)
-    b1 = bound_B(1, h, 1.0, 0.98, ops.fd_min, lap.lambdaN, 2, 5)
+    b0 = bound_B(0, h, 1.0, 0.98, ops)
+    b1 = bound_B(1, h, 1.0, 0.98, ops)
     assert b1 / b0 == pytest.approx(0.98, rel=1e-12)
     # monotone blow-up approaching the pole at alpha = rho_h
     rho = 1 - h * ops.fd_min
-    vals = [bound_B(5, h, 1.0, a, ops.fd_min, lap.lambdaN, 2, 5)
+    vals = [bound_B(5, h, 1.0, a, ops)
             for a in np.linspace(0.99, rho + 1e-4, 8)]
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
     with pytest.raises(ValueError):
-        bound_B(0, h, 1.0, rho, ops.fd_min, lap.lambdaN, 2, 5)
+        bound_B(0, h, 1.0, rho, ops)
 
 
 def test_strict_saturation_aborts(ex1_setting):
     p, g, _, _, _ = ex1_setting
     cfg = ExactConfig(h=_ex1_h(ex1_setting), alpha=0.98, s0=1e-6, K=1,
                       max_rounds=100, strict_saturation=True)
-    with pytest.raises(SaturationError):
+    with pytest.warns(RuntimeWarning), pytest.raises(SaturationError):
         run_exact(p, g, cfg)
 
 
@@ -99,12 +104,56 @@ def test_guarantee_violation_warns(ex1_setting):
     cfg = ExactConfig(h=5.0, alpha=0.9, s0=1.0, K=10, max_rounds=5,
                       stop_tol=0.0)
     noisy = NoiseModel(damping=0.95)
+    ls_cfg = LSConfig(h=5.0, K=10, s_r=1.0, max_rounds=5, stop_tol=0.0,
+                      gamma=GammaSchedule(k0=26.0, delta=0.85))
     for run in (lambda: run_exact(p, g, cfg),
                 lambda: run_robust(p, g, cfg, NoiseModel()),
-                lambda: run_robust(p, g, cfg, noisy)):
+                lambda: run_robust(p, g, cfg, noisy),
+                lambda: run_ls(p, g, ls_cfg)):
         with pytest.warns(RuntimeWarning) as rec:
             run()
         assert [w.filename for w in rec] == [__file__]
+
+
+def test_exact_warning_reads_the_alphabet(ex1_setting):
+    # Kmin at the ex1_thm1 gain and alpha = 0.98 is 225
+    p, g, _, _, _ = ex1_setting
+    cfg = ExactConfig(h=_ex1_h(ex1_setting), alpha=0.98, s0=1.0, K=100,
+                      max_rounds=5)
+    with pytest.warns(RuntimeWarning, match="guarantees"):
+        run_exact(p, g, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_exact(p, g, dataclasses.replace(cfg, K=300))
+
+
+def test_ls_outside_the_set_warns():
+    # a gain below h_cap_ls and beta0 inside (1, 1/(1 - h lambda2)), but
+    # Mprime is about 9e4 > K + 1/2: the run diverges
+    p = random_problem(8, 3, "ls", seed=21360)
+    g = generate_graph("erdos_renyi", 8, 0.34, seed=21360)
+    sp = build_stacked(p, build_laplacian(g))
+    cfg = LSConfig(h=0.77 * sp.h_cap_ls, K=2000, s_r=2.0,
+                   gamma=GammaSchedule(k0=30.0, delta=0.8), max_rounds=300)
+    with pytest.warns(RuntimeWarning, match="guarantees"):
+        tr = run_ls(p, g, cfg)
+    assert tr.err2[-1] > 1e20 and tr.saturation_count[-1] > 0
+
+
+@pytest.mark.parametrize("K", [2, 10, 300])
+def test_planned_runs_raise_no_warning(ex1_setting, ex4_setting, K):
+    p1, g, _, _, sp1 = ex1_setting
+    p4, sp4 = ex4_setting[0], ex4_setting[4]
+    exact = plan_exact(K, 0.5, sp1, cx=1.0,
+                       cw=float(np.abs(classify(p1).solution).max()))
+    ls = plan_ls(K, 0.5, sp4, delta=0.85, cx=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_exact(p1, g, ExactConfig(h=exact.h, alpha=exact.alpha,
+                                     s0=exact.s0_min, K=K, max_rounds=50,
+                                     cx=1.0))
+        run_ls(p4, g, LSConfig(h=ls.h, K=K, s_r=ls.sr_min, gamma=ls.gamma,
+                               max_rounds=50, cx=1.0))
 
 
 def test_gamma_schedule_properties():
@@ -125,7 +174,8 @@ def test_ls_converges_example4(ex4_setting):
     cfg = LSConfig(h=0.0853, K=900, s_r=0.82,
                    gamma=GammaSchedule(k0=26.0, delta=0.85),
                    max_rounds=5000)
-    tr = run_ls(p, g, cfg)
+    with pytest.warns(RuntimeWarning):     # K = 900 < Kmin' = 2770
+        tr = run_ls(p, g, cfg)
     y = classify(p).solution
     assert np.abs(tr.x_final - y[None, :]).max() < 0.2
     assert tr.err2[-1] < tr.err2[0] / 5
@@ -236,10 +286,9 @@ def cycle_above_dense_size():
 
 def test_bound_column_above_dense_size(cycle_above_dense_size):
     # the solver's extremes are the planner's, to the last bit
-    p, g, lap, ops, cfg = cycle_above_dense_size
+    p, g, _, ops, cfg = cycle_above_dense_size
     tr = run_exact(p, g, cfg)
-    expect = bound_B(np.arange(len(tr.k)), cfg.h, cfg.s0, cfg.alpha,
-                     ops.fd_min, lap.lambdaN, p.dim, p.n_nodes)
+    expect = bound_B(np.arange(len(tr.k)), cfg.h, cfg.s0, cfg.alpha, ops)
     assert np.array_equal(tr.bound_Bk, expect)
 
 
@@ -280,6 +329,7 @@ def _reference_trace(p, g, cfg, mode, noise=None):
     and the round index of a SaturationError, or None."""
     lap = build_laplacian(g)
     fd_min = stacked_extremes(p, lap)[0]
+    sp = build_stacked(p, lap)
     y = classify(p).solution
     n, m, K = p.n_nodes, p.dim, cfg.K
     have_bound = mode != "ls" and cfg.alpha > 1.0 - cfg.h * fd_min
@@ -307,7 +357,7 @@ def _reference_trace(p, g, cfg, mode, noise=None):
                 cols[key].append(val)
             if have_bound:
                 cols["bound"].append(float(bound_B(
-                    k, cfg.h, cfg.s0, cfg.alpha, fd_min, lap.lambdaN, m, n)))
+                    k, cfg.h, cfg.s0, cfg.alpha, sp)))
             if mode == "ls":
                 cols["ratio"].append(float(einf.max()
                                            / _gamma_ref(cfg.gamma, k)))
@@ -409,7 +459,12 @@ def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
                                init_errors_enabled=bool(seed % 2),
                                roundoff_enabled=True)
     ref, sat_round = _reference_trace(p, g, cfg, mode, noise)
-    with mock.patch.object(solver, "_BLOCK_ENTRIES", block * n * m):
+    sp = build_stacked(p, build_laplacian(g))
+    member = (xi_ls_membership(h, cfg.gamma.beta0, K, sp) if mode == "ls"
+              else xi_membership(cfg.alpha, h, K, sp))
+    with (contextlib.nullcontext() if member
+          else pytest.warns(RuntimeWarning)), \
+            mock.patch.object(solver, "_BLOCK_ENTRIES", block * n * m):
         if sat_round is not None:
             with pytest.raises(SaturationError) as exc:
                 _run_mode(p, g, cfg, mode, noise)
@@ -437,7 +492,9 @@ def test_trace_columns_across_a_full_block(ex1_problem, fig1_graph):
 def test_bound_B_array_matches_per_round_calls(alpha, k_max):
     # includes k = 2, where numpy's scalar pow squares and its vectorised
     # pow may round differently
-    args = (0.4, 1.7, alpha, (1.0 - alpha) / 0.4 * 1.01, 3.2, 2, 5)
+    sp = SimpleNamespace(fd_min=(1.0 - alpha) / 0.4 * 1.01, lambdaN=3.2,
+                         m=2, n=5)
+    args = (0.4, 1.7, alpha, sp)
     ks = np.arange(k_max + 1)
     per_round = [float(bound_B(int(k), *args)) for k in ks]
     assert np.array_equal(bound_B(ks, *args), per_round)
@@ -479,13 +536,15 @@ def test_csv_text_matches_per_row_renderer(ex1_setting, ex4_setting):
     p4 = ex4_setting[0]
     exact = run_exact(p1, g, ExactConfig(h=_ex1_h(ex1_setting), alpha=0.98,
                                          s0=1.0, K=300, max_rounds=400))
-    ls = run_ls(p4, g, LSConfig(h=0.0853, K=900, s_r=0.82,
-                                gamma=GammaSchedule(k0=26.0, delta=0.85),
-                                max_rounds=400, cx=0.5))
-    robust = run_robust(p1, g, ExactConfig(h=0.0213, alpha=0.998, s0=0.01,
-                                           K=3, max_rounds=400),
-                        NoiseModel(damping=0.95, roundoff_amp=1e-4,
-                                   roundoff_enabled=True))
+    # the LS run (K = 900) and the robust run (K = 3) lie outside the sets
+    with pytest.warns(RuntimeWarning):
+        ls = run_ls(p4, g, LSConfig(h=0.0853, K=900, s_r=0.82,
+                                    gamma=GammaSchedule(k0=26.0, delta=0.85),
+                                    max_rounds=400, cx=0.5))
+        robust = run_robust(p1, g, ExactConfig(h=0.0213, alpha=0.998,
+                                               s0=0.01, K=3, max_rounds=400),
+                            NoiseModel(damping=0.95, roundoff_amp=1e-4,
+                                       roundoff_enabled=True))
     base = run_config(parse_config(
         "mode = baseline\nproblem.builtin = ex1\ngraph.builtin = fig1\n"
         "solver.h = 0.3\nmax_rounds = 400\n"))

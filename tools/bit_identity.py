@@ -86,12 +86,12 @@ from quantnet.graph import (build_laplacian, format_graph,  # noqa: E402
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
                               builtin_problem, parse_config, random_problem,
                               run_config)
-from quantnet.planner import (alpha_star, m_value, plan_exact,  # noqa: E402
-                              plan_ls, spectral_data)
+from quantnet.planner import (GammaSchedule, alpha_star,  # noqa: E402
+                              m_value, plan_exact, plan_ls, spectral_data)
 from quantnet.problem import (LinearProblem, build_stacked,  # noqa: E402
                               stacked_extremes, theta_n)
-from quantnet.solver import (ExactConfig, GammaSchedule,  # noqa: E402
-                             LSConfig, run_exact, run_ls, run_robust)
+from quantnet.solver import (ExactConfig, LSConfig,  # noqa: E402
+                             run_exact, run_ls, run_robust)
 
 
 def digest(tr) -> str:
