@@ -12,8 +12,7 @@ import sys
 import numpy as np
 
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .harness import (_solver_config, _validate_semantics, _write_output,
-                      build_graph, build_problem, builtin_graph,
+from .harness import (_REPRODUCERS, _read_run, _write_output, builtin_graph,
                       builtin_problem, load_config, random_problem, reproduce,
                       run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
@@ -89,12 +88,12 @@ def _cmd_solve(args) -> int:
         if val is not None:
             cfg.values[key] = val
             try:
-                _validate_semantics(cfg.values)
+                _read_run(cfg.values)
             except ValueError as exc:
                 raise ValueError(f"{flag}: {exc}") from None
     trace = run_config(cfg)
-    path = _write_output(args.out or cfg.get("out") or ".", "trace.csv",
-                         trace.csv_text())
+    path = _write_output(args.out or _read_run(cfg.values).out or ".",
+                         "trace.csv", trace.csv_text())
     for key, val in trace.summary().items():
         print(f"{key} = {val}")
     print(f"# wrote {path}")
@@ -103,7 +102,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = load_config(args.config)
-    mode = cfg.get("mode")
+    mode = _read_run(cfg.values).mode
     if mode not in ("exact", "ls"):
         print("oracle-check supports exact and ls modes only",
               file=sys.stderr)
@@ -111,8 +110,8 @@ def _cmd_oracle_check(args) -> int:
     if args.max_rounds is not None:
         cfg.values["max_rounds"] = args.max_rounds
     cfg.values.setdefault("max_rounds", 300 if mode == "exact" else 2000)
-    dev = _oracle_deviation(build_problem(cfg), build_graph(cfg),
-                            _solver_config(cfg, mode))
+    run = _read_run(cfg.values)
+    dev = _oracle_deviation(run.problem(), run.graph(), *run.args)
     print(f"max_relative_deviation = {dev:.6g}")
     tol = args.tol
     print(f"tolerance = {tol:.6g}")
@@ -258,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_alpha_star)
 
     sp = sub.add_parser("reproduce", help="re-run a published experiment")
-    sp.add_argument("example_id",
-                    choices=["ex1_thm1", "ex1_thm2", "ex2", "ex3",
-                             "ex4_thm3", "ex4_thm4", "robustness"])
+    sp.add_argument("example_id", choices=list(_REPRODUCERS))
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_reproduce)
 

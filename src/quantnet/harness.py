@@ -2,9 +2,11 @@
 
 The config format is flat ``key = value`` text with dotted section prefixes
 ('#' comments allowed). Matrices are written inline as rows separated by
-';'. Everything is deterministic: a config plus its seeds pins every byte
-of every output file. All randomness flows through numpy's PCG64 bit
-generator (identifier recorded in trace headers).
+';'. ``_read_run`` turns a config into its run's inputs, and is the one
+record of which keys a run reads: a missing key, or a key it would not
+read, is an error. Everything is deterministic: a config plus its seeds
+pins every byte of every output file. All randomness flows through
+numpy's PCG64 bit generator (identifier recorded in trace headers).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +35,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "serialize_config",
-    "build_problem",
-    "build_graph",
     "run_config",
     "random_problem",
     "reproduce",
@@ -163,11 +165,26 @@ _MODES = ("exact", "ls", "robust", "baseline")
 
 @dataclass
 class ExperimentConfig:
-    """Validated flat config; ``values`` maps schema keys to typed values."""
+    """Validated flat config; ``values`` maps schema keys to typed values.
+
+    ``cfg[key]`` reads a key that the run needs (a missing one raises
+    ``ValueError``) and ``cfg.get(key, default)`` one that it may take; both
+    record the read, which the config reader compares with the keys given.
+    ``key in cfg`` only tests presence.
+    """
 
     values: dict = field(default_factory=dict)
+    _read: set = field(default_factory=set, init=False, repr=False,
+                       compare=False)
+
+    def __getitem__(self, key):
+        self._read.add(key)
+        if key not in self.values:
+            raise ValueError(f"missing required key '{key}'")
+        return self.values[key]
 
     def get(self, key, default=None):
+        self._read.add(key)
         return self.values.get(key, default)
 
     def __contains__(self, key):
@@ -214,88 +231,112 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, val, lineno)
-    _validate_semantics(values)
+    _read_run(values)
     return ExperimentConfig(values)
 
 
-# What a run reads. Each row names the keys that a mode, or a problem or
-# graph source, or a robust noise switch, requires and the keys it may take;
-# a source's row lists the key that selects it first. A run reads the common
-# keys and its three rows (mode, problem source, graph source), and in
-# robust mode the row of each noise switch that is on; any other key would
-# be ignored, so the config is rejected.
-_COMMON_KEYS = ("mode", "seed", "max_rounds", "stop_tol", "out")
-_EXACT_KEYS = ("solver.h", "solver.alpha", "solver.s0", "solver.K")
-_QUANTIZED_KEYS = ("strict_saturation", "solver.x0", "solver.cx")
-_NOISE_SWITCHES = ("noise.init_enabled", "noise.roundoff_enabled")
-_READS = {   # row -> (required, optional)
-    "exact mode": (_EXACT_KEYS, _QUANTIZED_KEYS),
-    "robust mode": (_EXACT_KEYS,
-                    _QUANTIZED_KEYS + ("noise.damping",) + _NOISE_SWITCHES),
-    "noise.init_enabled = true": ((), ("noise.init_lo", "noise.init_hi",
-                                       "noise.seed")),
-    "noise.roundoff_enabled = true": ((), ("noise.roundoff", "noise.seed")),
-    "ls mode": (("solver.h", "solver.s_r", "solver.K", "gamma.k0",
-                 "gamma.delta"), _QUANTIZED_KEYS),
-    "baseline mode": (("solver.h",),
-                      ("gamma.k0", "gamma.delta", "solver.x0", "solver.cx")),
-    "problem.file": (("problem.file",), ()),
-    "problem.builtin": (("problem.builtin",), ()),
-    "problem.inline": (("problem.inline",), ()),
-    "problem.random.n": (("problem.random.n", "problem.random.m"),
-                         ("problem.random.kind", "problem.random.seed")),
-    "graph.file": (("graph.file",), ()),
-    "graph.builtin": (("graph.builtin",), ()),
-    "graph.kind": (("graph.kind", "graph.n"), ()),
-    "graph.kind = erdos_renyi": (("graph.kind", "graph.n"),
-                                 ("graph.p", "graph.seed")),
-}
 _PROBLEM_SOURCES = ("problem.file", "problem.builtin", "problem.inline",
                     "problem.random.n")
 _GRAPH_SOURCES = ("graph.file", "graph.builtin", "graph.kind")
 
 
-def _validate_semantics(values: dict) -> None:
-    mode = values.get("mode")
-    if mode is None:
-        raise ValueError("missing required key 'mode'")
+class _Run(NamedTuple):
+    """A config's run, read but not built."""
+
+    mode: str
+    problem: Callable[[], LinearProblem]
+    graph: Callable[[], Graph]
+    args: tuple             # what the mode's run function takes after (p, g)
+    out: str | None
+
+
+def _read_run(values: dict) -> _Run:
+    """Read the run that a config's ``values`` describe.
+
+    This is the one record of which keys a run reads: each key is read
+    where the run uses it, through ``cfg[key]`` if the run needs it and
+    ``cfg.get`` if it has a default, and a given key that nothing read
+    would be ignored, so the config is refused. Nothing is built: the
+    problem and graph come back as builders, so no file is opened, no
+    number is drawn and no graph is generated.
+    """
+    cfg = ExperimentConfig(values)
+    mode = cfg["mode"]
     if mode not in _MODES:
         raise ValueError(f"mode: must be one of {_MODES}")
-    if "gamma.delta" in values and not (0.5 < values["gamma.delta"] <= 1.0):
-        raise ValueError("gamma.delta: must lie in (1/2, 1]")
-    if "gamma.k0" in values and values["gamma.k0"] <= 0:
-        raise ValueError("gamma.k0: must be positive")
-    problem = [k for k in _PROBLEM_SOURCES if k in values]
-    if len(problem) != 1:
-        raise ValueError("exactly one problem source must be given "
-                         "(problem.file | problem.builtin | problem.inline "
-                         "| problem.random.*)")
-    graph = [k for k in _GRAPH_SOURCES if k in values]
-    if len(graph) != 1:
-        raise ValueError("exactly one graph source must be given "
-                         "(graph.file | graph.builtin | graph.kind)")
-    if values.get("graph.kind") == "erdos_renyi":
-        graph = ["graph.kind = erdos_renyi"]
-    rows = (f"{mode} mode", problem[0], graph[0])
-    if mode == "robust":
-        rows += tuple(f"{k} = true" for k in _NOISE_SWITCHES if values.get(k))
-    reads = set(_COMMON_KEYS)
-    for row in rows:
-        required, optional = _READS[row]
-        for k in required:
-            if k not in values:
-                raise ValueError(f"missing required key '{k}' for {row}")
-        reads.update(required, optional)
-    for k, other in (("gamma.k0", "gamma.delta"), ("gamma.delta", "gamma.k0")):
-        if other in values and k not in values:
-            raise ValueError(f"missing required key '{k}': gamma.k0 and "
-                             "gamma.delta come as a pair")
-    ignored = [k for k in values if k not in reads]
-    if "solver.x0" in values and "solver.cx" in values:
-        ignored.append("solver.cx")     # solver.x0 sets x(0)
+    for kind, sources in (("problem", _PROBLEM_SOURCES),
+                          ("graph", _GRAPH_SOURCES)):
+        if sum(k in cfg for k in sources) != 1:
+            raise ValueError(f"exactly one {kind} source must be given "
+                             f"({' | '.join(sources)})")
+    if "problem.file" in cfg:
+        problem = partial(load_problem, cfg["problem.file"])
+    elif "problem.builtin" in cfg:
+        problem = partial(builtin_problem, cfg["problem.builtin"])
+    elif "problem.inline" in cfg:
+        mat = np.array(cfg["problem.inline"])
+        problem = partial(LinearProblem, H=mat[:, :-1], z=mat[:, -1])
+    else:
+        problem = partial(random_problem, cfg["problem.random.n"],
+                          cfg["problem.random.m"],
+                          cfg.get("problem.random.kind", "exact"),
+                          cfg.get("problem.random.seed", 0))
+    if "graph.file" in cfg:
+        graph = partial(load_graph, cfg["graph.file"])
+    elif "graph.builtin" in cfg:
+        graph = partial(builtin_graph, cfg["graph.builtin"])
+    elif cfg["graph.kind"] == "erdos_renyi":
+        graph = partial(generate_graph, "erdos_renyi", cfg["graph.n"],
+                        cfg.get("graph.p", 0.5), cfg.get("graph.seed", 0))
+    else:
+        graph = partial(generate_graph, cfg["graph.kind"], cfg["graph.n"])
+    seed = cfg.get("seed", 0)
+    x0 = cfg.get("solver.x0")
+    cx = cfg.get("solver.cx") if x0 is None else None   # solver.x0 sets x(0)
+    if mode == "baseline":
+        h = cfg["solver.h"]
+        gamma = (GammaSchedule(cfg["gamma.k0"], cfg["gamma.delta"])
+                 if "gamma.k0" in cfg or "gamma.delta" in cfg else None)
+        max_rounds = cfg.get("max_rounds", ExactConfig.max_rounds)
+        if h <= 0 or max_rounds < 1:
+            raise ValueError("invalid baseline configuration: solver.h must "
+                             "be positive and max_rounds at least 1")
+        args = (h, gamma, x0, cx, seed, max_rounds,
+                cfg.get("stop_tol", STOP_TOL_DEFAULT))
+    else:
+        common = dict(K=cfg["solver.K"],
+                      strict_saturation=cfg.get("strict_saturation", False),
+                      x0=None if x0 is None else np.array(x0), cx=cx,
+                      seed=seed)
+        # unset, the mode's own default applies
+        common.update((k, cfg[k]) for k in ("max_rounds", "stop_tol")
+                      if k in cfg)
+        if mode == "ls":
+            args = (LSConfig(h=cfg["solver.h"], s_r=cfg["solver.s_r"],
+                             gamma=GammaSchedule(cfg["gamma.k0"],
+                                                 cfg["gamma.delta"]),
+                             **common),)
+        else:
+            args = (ExactConfig(h=cfg["solver.h"], alpha=cfg["solver.alpha"],
+                                s0=cfg["solver.s0"], **common),)
+        if mode == "robust":
+            init = cfg.get("noise.init_enabled", False)
+            roundoff = cfg.get("noise.roundoff_enabled", False)
+            args += (NoiseModel(
+                damping=cfg.get("noise.damping", 1.0),
+                init_error_range=((cfg.get("noise.init_lo", 0.0),
+                                   cfg.get("noise.init_hi", 0.0)) if init
+                                  else (0.0, 0.0)),
+                roundoff_amp=cfg.get("noise.roundoff", 0.0) if roundoff
+                else 0.0,
+                seed=cfg.get("noise.seed", seed) if init or roundoff else seed,
+                init_errors_enabled=init, roundoff_enabled=roundoff),)
+    out = cfg.get("out")
+    ignored = [k for k in values if k not in cfg._read]
     if ignored:
-        raise ValueError(f"key '{ignored[0]}' would be ignored: a run with "
-                         + ", ".join(rows) + " does not read it")
+        raise ValueError(f"key '{ignored[0]}' would be ignored: this "
+                         f"config's {mode} run does not read it")
+    return _Run(mode, problem, graph, args, out)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -323,105 +364,38 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def build_problem(cfg: ExperimentConfig) -> LinearProblem:
-    if "problem.file" in cfg:
-        return load_problem(cfg.get("problem.file"))
-    if "problem.builtin" in cfg:
-        return builtin_problem(cfg.get("problem.builtin"))
-    if "problem.inline" in cfg:
-        mat = np.array(cfg.get("problem.inline"))
-        return LinearProblem(H=mat[:, :-1], z=mat[:, -1])
-    return random_problem(cfg.get("problem.random.n"),
-                          cfg.get("problem.random.m"),
-                          cfg.get("problem.random.kind", "exact"),
-                          cfg.get("problem.random.seed", 0))
-
-
-def build_graph(cfg: ExperimentConfig) -> Graph:
-    if "graph.file" in cfg:
-        return load_graph(cfg.get("graph.file"))
-    if "graph.builtin" in cfg:
-        return builtin_graph(cfg.get("graph.builtin"))
-    return generate_graph(cfg.get("graph.kind"), cfg.get("graph.n"),
-                          cfg.get("graph.p", 0.5), cfg.get("graph.seed", 0))
-
-
-def _solver_config(cfg: ExperimentConfig, mode: str):
-    common = dict(
-        K=cfg.get("solver.K"),
-        strict_saturation=cfg.get("strict_saturation", False),
-        x0=np.array(cfg.get("solver.x0")) if "solver.x0" in cfg else None,
-        cx=cfg.get("solver.cx"),
-        seed=cfg.get("seed", 0),
-    )
-    for key in ("max_rounds", "stop_tol"):
-        if key in cfg:
-            common[key] = cfg.get(key)
-    if mode == "ls":
-        return LSConfig(h=cfg.get("solver.h"), s_r=cfg.get("solver.s_r"),
-                        gamma=GammaSchedule(cfg.get("gamma.k0"),
-                                            cfg.get("gamma.delta")),
-                        **common)
-    return ExactConfig(h=cfg.get("solver.h"), alpha=cfg.get("solver.alpha"),
-                       s0=cfg.get("solver.s0"), **common)
-
-
-def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
-    return NoiseModel(
-        damping=cfg.get("noise.damping", 1.0),
-        init_error_range=(cfg.get("noise.init_lo", 0.0),
-                          cfg.get("noise.init_hi", 0.0)),
-        roundoff_amp=cfg.get("noise.roundoff", 0.0),
-        seed=cfg.get("noise.seed", cfg.get("seed", 0)),
-        init_errors_enabled=cfg.get("noise.init_enabled", False),
-        roundoff_enabled=cfg.get("noise.roundoff_enabled", False),
-    )
-
-
 def run_config(cfg: ExperimentConfig) -> Trace:
     """Execute a config end to end and return its trace."""
-    p = build_problem(cfg)
-    g = build_graph(cfg)
-    mode = cfg.get("mode")
-    if mode == "exact":
-        return run_exact(p, g, _solver_config(cfg, "exact"))
-    if mode == "ls":
-        return run_ls(p, g, _solver_config(cfg, "ls"))
-    if mode == "robust":
-        return run_robust(p, g, _solver_config(cfg, "robust"),
-                          _noise_model(cfg))
-    if mode == "baseline":
-        return _run_baseline(p, g, cfg)
-    raise ValueError(f"unknown mode {mode!r}")
+    run = _read_run(cfg.values)
+    return _RUNNERS[run.mode](run.problem(), run.graph(), *run.args)
 
 
-def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
+def _run_baseline(p: LinearProblem, g: Graph, h: float,
+                  gamma: GammaSchedule | None, x0, cx, seed: int,
+                  max_rounds: int, stop_tol: float) -> Trace:
     """Unquantized reference run, recorded in the same trace layout.
 
-    x(0) is drawn as the solver draws it (``solver.x0``, else ``solver.cx``
-    from ``seed``, else zero).
+    x(0) is drawn as the solver draws it (``x0``, else uniform in
+    [-cx, cx] from ``seed``, else zero); the gain is ``gamma``, or 1
+    without a schedule. A round whose err2 is not finite stops the run
+    with ``ValueError``.
     """
     from .oracle import unquantized_step
 
     ops, y_ref = _setup(p, g)
     n, m = p.n_nodes, p.dim
-    h = cfg.get("solver.h")
-    max_rounds = cfg.get("max_rounds", ExactConfig.max_rounds)
-    stop_tol = cfg.get("stop_tol", STOP_TOL_DEFAULT)
-    if "gamma.k0" in cfg:
-        sched = GammaSchedule(cfg.get("gamma.k0"), cfg.get("gamma.delta"))
-    else:
-        sched = None
-    x = _initial_states(p, cfg.get("solver.x0"), cfg.get("solver.cx"),
-                        cfg.get("seed", 0)).reshape(-1)
+    x = _initial_states(p, x0, cx, seed).reshape(-1)
     target = np.tile(y_ref, n)
     rec_k, rec_err2, rec_einf = [0], [float(np.linalg.norm(x - target))], \
         [np.abs((x - target).reshape(n, m)).max(axis=1)]
     stop_reason = "max_rounds"
     for k in range(1, max_rounds + 1):
-        gk = float(sched.gamma(k - 1)) if sched else 1.0
+        gk = float(gamma.gamma(k - 1)) if gamma else 1.0
         x = unquantized_step(x, h, gk, ops.Lm, ops.Hd, ops.zH)
         e2 = float(np.linalg.norm(x - target))
+        if not math.isfinite(e2):
+            raise ValueError(f"baseline err2 is not finite at round {k}: "
+                             "the run diverges")
         rec_k.append(k)
         rec_err2.append(e2)
         rec_einf.append(np.abs((x - target).reshape(n, m)).max(axis=1))
@@ -436,7 +410,11 @@ def _run_baseline(p: LinearProblem, g: Graph, cfg: ExperimentConfig) -> Trace:
                  saturation_count=zeros, bits_cum=zeros,
                  bits_cum_nonzero=zeros, err_inf_per_node=np.array(rec_einf),
                  stop_reason=stop_reason, x_final=x.reshape(n, m),
-                 y_ref=y_ref, seed=cfg.get("seed", 0))
+                 y_ref=y_ref, seed=seed)
+
+
+_RUNNERS = {"exact": run_exact, "ls": run_ls, "robust": run_robust,
+            "baseline": _run_baseline}
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ class GammaSchedule:
 
     def __post_init__(self):
         if self.k0 <= 0:
-            raise ValueError("k0 must be positive")
+            raise ValueError("gamma.k0 must be positive")
         if not (0.5 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (1/2, 1]")
+            raise ValueError("gamma.delta must lie in (1/2, 1]")
 
     def gamma(self, k) -> float:
         """gamma(k) for a round k, or elementwise for an array of rounds.

@@ -4,14 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from quantnet import cli
+from quantnet import cli, harness
 from quantnet.cli import main
-from quantnet.harness import (CONSTANTS, builtin_graph, builtin_problem,
-                              parse_config, random_problem, reproduce,
-                              run_config, serialize_config)
+from quantnet.harness import (_REPRODUCERS, _SCHEMA, CONSTANTS, builtin_graph,
+                              builtin_problem, parse_config, random_problem,
+                              reproduce, run_config, serialize_config)
 from quantnet.graph import build_laplacian, generate_graph, save_graph
 from quantnet.planner import alpha_star
 from quantnet.problem import build_stacked, classify, save_problem
+from quantnet.solver import ExactConfig, run_exact
 
 EXACT_CFG = """
 # five-node exact run
@@ -145,18 +146,107 @@ def test_config_key_missing_or_ignored_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_config_keys_each_source_reads_are_accepted():
-    parse_config(EXACT_CFG.replace(
-        "graph.builtin = fig1", "graph.kind = erdos_renyi\ngraph.n = 8\n"
-        "graph.p = 0.5\ngraph.seed = 3").replace(
-        "problem.builtin = ex1", "problem.random.n = 8\nproblem.random.m = 2"
-        "\nproblem.random.kind = exact\nproblem.random.seed = 1"))
-    parse_config(ROBUST_CFG + "noise.roundoff_enabled = true\n"
-                 "noise.roundoff = 0.01\nnoise.seed = 2\n")
-    parse_config(ROBUST_CFG + "noise.init_enabled = true\nnoise.init_lo = 0.2"
-                 "\nnoise.init_hi = 0.5\nnoise.seed = 2\n")
-    parse_config(BASELINE_CFG + "gamma.k0 = 26\ngamma.delta = 0.85\n"
-                 "solver.cx = 1\nseed = 2\nstop_tol = 0\nout = x\n")
+RANDOM_ER_CFG = EXACT_CFG.replace(
+    "graph.builtin = fig1", "graph.kind = erdos_renyi\ngraph.n = 8\n"
+    "graph.p = 0.5\ngraph.seed = 3").replace(
+    "problem.builtin = ex1", "problem.random.n = 8\nproblem.random.m = 2"
+    "\nproblem.random.kind = exact\nproblem.random.seed = 1").replace(
+    "solver.h = 0.42", "solver.h = 0.12").replace(
+    "solver.alpha = 0.98", "solver.alpha = 0.99").replace(
+    "max_rounds = 1500", "max_rounds = 400")
+
+
+def _inline(name):
+    """A built-in system as a ``problem.inline`` value: rows of H and z."""
+    p = builtin_problem(name)
+    return "; ".join(" ".join(repr(float(v)) for v in (*row, z))
+                     for row, z in zip(p.H, p.z))
+
+
+def test_config_keys_each_source_reads_are_accepted(tmp_path):
+    # between them these configs give every schema key, and each runs:
+    # a reader that stops reading a key refuses the config that gives it
+    prob, graph = tmp_path / "ex4.txt", tmp_path / "fig1.txt"
+    save_problem(builtin_problem("ex4"), prob)
+    save_graph(builtin_graph(), graph)
+    configs = [
+        EXACT_CFG + "solver.cx = 1\nseed = 2\nstrict_saturation = true\n"
+        "stop_tol = 1e-9\nout = x\n",
+        RANDOM_ER_CFG,
+        LS_CFG.replace("problem.builtin = ex4", f"problem.file = {prob}")
+        .replace("graph.builtin = fig1", f"graph.file = {graph}")
+        .replace("solver.K = 900", "solver.K = 3000")
+        + "solver.x0 = 1 0; 0 1; 0 0; 0 0; 1 1\n",
+        ROBUST_CFG + "noise.roundoff_enabled = true\n"
+        "noise.roundoff = 0.01\nnoise.seed = 2\n",
+        ROBUST_CFG + "noise.init_enabled = true\nnoise.init_lo = 0.2"
+        "\nnoise.init_hi = 0.5\nnoise.seed = 2\n",
+        BASELINE_CFG.replace("problem.builtin = ex1",
+                             f"problem.inline = {_inline('ex1')}")
+        .replace("graph.builtin = fig1", "graph.kind = cycle\ngraph.n = 5")
+        + "gamma.k0 = 26\ngamma.delta = 0.85\nsolver.cx = 1\nseed = 2\n"
+        "stop_tol = 0\nout = x\n",
+    ]
+    given = set()
+    for text in configs:
+        cfg = parse_config(text)
+        assert run_config(cfg).k[-1] >= 1
+        given.update(cfg.values)
+    assert given == set(_SCHEMA)
+
+
+def test_inline_problem_runs_as_its_builtin():
+    text = EXACT_CFG.replace("problem.builtin = ex1",
+                             f"problem.inline = {_inline('ex1')}")
+    assert (run_config(parse_config(text)).csv_text()
+            == run_config(parse_config(EXACT_CFG)).csv_text())
+
+
+def test_random_problem_on_erdos_renyi_runs_as_called_directly():
+    direct = run_exact(random_problem(8, 2, "exact", 1),
+                       generate_graph("erdos_renyi", 8, 0.5, 3),
+                       ExactConfig(h=0.12, alpha=0.99, s0=1.0, K=300,
+                                   max_rounds=400))
+    assert (run_config(parse_config(RANDOM_ER_CFG)).csv_text()
+            == direct.csv_text())
+
+
+def test_parse_config_builds_nothing(tmp_path, monkeypatch):
+    # no file is opened, no number drawn and no graph generated until the run
+    def refuse(*args):
+        raise AssertionError("built")
+
+    for name in ("random_problem", "generate_graph"):
+        monkeypatch.setattr(harness, name, refuse)
+    cfg = parse_config(RANDOM_ER_CFG)
+    with pytest.raises(AssertionError, match="built"):
+        run_config(cfg)
+    cfg = parse_config(EXACT_CFG.replace(
+        "problem.builtin = ex1", f"problem.file = {tmp_path / 'no.txt'}"))
+    with pytest.raises(FileNotFoundError):
+        run_config(cfg)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("solver.h = 0.1", "solver.h = -0.1"), "invalid baseline configuration"),
+    (("max_rounds = 50", "max_rounds = 0"), "invalid baseline configuration"),
+    (("solver.h = 0.1\nmax_rounds = 50", "solver.h = 5\nmax_rounds = 2000"),
+     "baseline err2 is not finite at round"),
+], ids=["negative_h", "no_rounds", "overflow"])
+def test_baseline_refuses_what_the_quantized_modes_refuse(tmp_path, capsys,
+                                                          edit, message):
+    text = BASELINE_CFG.replace(*edit)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    if "finite" in message:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    else:
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_robust_noise_keys_without_their_switch_are_a_usage_error(
@@ -389,6 +479,14 @@ def test_cli_sweep(tmp_path, capsys):
     sp = build_stacked(p, build_laplacian(generate_graph("star", 6)))
     assert float(lines[4].split(",")[3]) == alpha_star(100, sp)
     assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_cli_reproduce_ids_are_the_harness_reproducers():
+    parser = cli.build_parser()
+    for example_id in _REPRODUCERS:
+        assert parser.parse_args(["reproduce", example_id]).example_id \
+            == example_id
+    assert main(["reproduce", "ex99"]) == 2
 
 
 def test_cli_reproduce(tmp_path, capsys):
