@@ -21,8 +21,9 @@ from .planner import (ExactPlan, GammaSchedule, LSPlan, alpha_star, bound_B,
                       sr_lower_bound, xi_ls_membership, xi_membership)
 from .problem import (LinearProblem, ProblemClassification, StackedOperators,
                       build_stacked, classify, stacked_extremes, theta_n)
-from .solver import (ExactConfig, LSConfig, SaturationError, Trace,
-                     run_exact, run_ls, run_robust, traces_dynamics_equal)
+from .solver import (BaselineConfig, ExactConfig, LSConfig, SaturationError,
+                     Trace, run_baseline, run_exact, run_ls, run_robust,
+                     traces_dynamics_equal)
 
 __version__ = "0.1.0"
 
@@ -32,8 +33,9 @@ __all__ = [
     "LinearProblem", "ProblemClassification", "StackedOperators",
     "classify", "build_stacked", "stacked_extremes", "theta_n",
     "QuantizerSpec", "NoiseModel", "quantize", "quantize_vec",
-    "ExactConfig", "LSConfig", "Trace", "SaturationError", "run_exact",
-    "run_ls", "run_robust", "traces_dynamics_equal",
+    "ExactConfig", "LSConfig", "BaselineConfig", "Trace", "SaturationError",
+    "run_exact", "run_ls", "run_robust", "run_baseline",
+    "traces_dynamics_equal",
     "ExactPlan", "LSPlan", "GammaSchedule", "bound_B", "spectral_data",
     "kmin_from_m", "m_value", "s0_lower_bound", "xi_membership",
     "xi_ls_membership", "plan_exact", "plan_ls", "alpha_star", "m_prime",

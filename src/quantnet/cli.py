@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from .graph import Graph, build_laplacian, generate_graph, load_graph
-from .harness import (_REPRODUCERS, _read_run, _write_output, builtin_graph,
-                      builtin_problem, load_config, random_problem, reproduce,
-                      run_config)
+from .harness import (_BUILTIN_GRAPHS, _BUILTIN_PROBLEMS, _REPRODUCERS,
+                      _read_run, _write_output, builtin_graph, builtin_problem,
+                      load_config, random_problem, reproduce, run_config)
 from .oracle import (compact_exact_init, compact_exact_step, compact_ls_init,
                      compact_ls_step, make_exact_operators, make_ls_operators)
 from .planner import alpha_star, plan_exact, plan_ls
@@ -23,14 +23,14 @@ from .solver import LSConfig, _setup, iter_rounds
 
 
 def _load_named_problem(spec: str) -> LinearProblem:
-    if spec in ("ex1", "ex4"):
+    if spec in _BUILTIN_PROBLEMS:
         return builtin_problem(spec)
     return load_problem(spec)
 
 
 def _load_named_graph(spec: str) -> Graph:
-    if spec == "fig1":
-        return builtin_graph()
+    if spec in _BUILTIN_GRAPHS:
+        return builtin_graph(spec)
     return load_graph(spec)
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "build_laplacian",
     "per_receiver_sum",
     "generate_graph",
+    "GRAPH_KINDS",
     "sym_eig_extremes",
     "lanczos_extremes",
     "parse_graph",
@@ -297,10 +298,13 @@ def build_laplacian(g: Graph) -> LaplacianSummary:
     return lap
 
 
+GRAPH_KINDS = ("cycle", "star", "complete", "erdos_renyi")
+
+
 def generate_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """Deterministic graph generator.
 
-    ``kind`` is one of ``cycle``, ``star``, ``complete``, ``erdos_renyi``.
+    ``kind`` is one of :data:`GRAPH_KINDS`.
     Erdős–Rényi draws each edge independently with probability ``p`` and
     retries with seed+1 (up to 10**4 attempts) until connected.
     """

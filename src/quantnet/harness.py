@@ -20,12 +20,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .codec import NoiseModel
-from .graph import Graph, build_laplacian, generate_graph, load_graph
+from .graph import (GRAPH_KINDS, Graph, build_laplacian, generate_graph,
+                    load_graph)
 from .planner import (GammaSchedule, alpha_star, kmin_from_m, m_value,
                       xi_membership)
 from .problem import LinearProblem, build_stacked, load_problem, theta_n
-from .solver import (STOP_TOL_DEFAULT, ExactConfig, LSConfig, Trace,
-                     _initial_states, _setup, run_exact, run_ls, run_robust,
+from .solver import (BaselineConfig, ExactConfig, LSConfig, Trace,
+                     run_baseline, run_exact, run_ls, run_robust,
                      traces_dynamics_equal)
 
 __all__ = [
@@ -99,19 +100,24 @@ CONSTANTS: dict = {
 }
 
 
+# built-in name -> CONSTANTS entry
+_BUILTIN_PROBLEMS = {"ex1": "five_node_exact", "ex4": "five_node_ls"}
+_BUILTIN_GRAPHS = {"fig1": "five_node_graph"}
+_RANDOM_KINDS = ("exact", "ls")
+
+
 def builtin_problem(name: str) -> LinearProblem:
     """Named built-in systems: ``ex1`` (exact) and ``ex4`` (least squares)."""
-    key = {"ex1": "five_node_exact", "ex4": "five_node_ls"}.get(name)
-    if key is None:
+    if name not in _BUILTIN_PROBLEMS:
         raise ValueError(f"unknown built-in problem {name!r}")
-    c = CONSTANTS[key]
+    c = CONSTANTS[_BUILTIN_PROBLEMS[name]]
     return LinearProblem(H=np.array(c["H"]), z=np.array(c["z"]))
 
 
 def builtin_graph(name: str = "fig1") -> Graph:
-    if name != "fig1":
+    if name not in _BUILTIN_GRAPHS:
         raise ValueError(f"unknown built-in graph {name!r}")
-    c = CONSTANTS["five_node_graph"]
+    c = CONSTANTS[_BUILTIN_GRAPHS[name]]
     return Graph(c["n"], c["edges"])
 
 
@@ -160,7 +166,12 @@ _SCHEMA = {
     "noise.roundoff_enabled": "bool",
 }
 
-_MODES = ("exact", "ls", "robust", "baseline")
+_RUNNERS = {"exact": run_exact, "ls": run_ls, "robust": run_robust,
+            "baseline": run_baseline}
+# key -> the names it may take, each selecting a runner or a builder
+_NAMES = {"mode": _RUNNERS, "problem.builtin": _BUILTIN_PROBLEMS,
+          "problem.random.kind": _RANDOM_KINDS,
+          "graph.builtin": _BUILTIN_GRAPHS, "graph.kind": GRAPH_KINDS}
 
 
 @dataclass
@@ -261,9 +272,10 @@ def _read_run(values: dict) -> _Run:
     number is drawn and no graph is generated.
     """
     cfg = ExperimentConfig(values)
+    for key, names in _NAMES.items():
+        if key in cfg and values[key] not in names:
+            raise ValueError(f"{key}: must be one of {tuple(names)}")
     mode = cfg["mode"]
-    if mode not in _MODES:
-        raise ValueError(f"mode: must be one of {_MODES}")
     for kind, sources in (("problem", _PROBLEM_SOURCES),
                           ("graph", _GRAPH_SOURCES)):
         if sum(k in cfg for k in sources) != 1:
@@ -293,24 +305,16 @@ def _read_run(values: dict) -> _Run:
     seed = cfg.get("seed", 0)
     x0 = cfg.get("solver.x0")
     cx = cfg.get("solver.cx") if x0 is None else None   # solver.x0 sets x(0)
+    common = dict(x0=None if x0 is None else np.array(x0), cx=cx, seed=seed)
+    # unset, the mode's own default applies
+    common.update((k, cfg[k]) for k in ("max_rounds", "stop_tol") if k in cfg)
     if mode == "baseline":
-        h = cfg["solver.h"]
         gamma = (GammaSchedule(cfg["gamma.k0"], cfg["gamma.delta"])
                  if "gamma.k0" in cfg or "gamma.delta" in cfg else None)
-        max_rounds = cfg.get("max_rounds", ExactConfig.max_rounds)
-        if h <= 0 or max_rounds < 1:
-            raise ValueError("invalid baseline configuration: solver.h must "
-                             "be positive and max_rounds at least 1")
-        args = (h, gamma, x0, cx, seed, max_rounds,
-                cfg.get("stop_tol", STOP_TOL_DEFAULT))
+        args = (BaselineConfig(h=cfg["solver.h"], gamma=gamma, **common),)
     else:
-        common = dict(K=cfg["solver.K"],
-                      strict_saturation=cfg.get("strict_saturation", False),
-                      x0=None if x0 is None else np.array(x0), cx=cx,
-                      seed=seed)
-        # unset, the mode's own default applies
-        common.update((k, cfg[k]) for k in ("max_rounds", "stop_tol")
-                      if k in cfg)
+        common.update(K=cfg["solver.K"],
+                      strict_saturation=cfg.get("strict_saturation", False))
         if mode == "ls":
             args = (LSConfig(h=cfg["solver.h"], s_r=cfg["solver.s_r"],
                              gamma=GammaSchedule(cfg["gamma.k0"],
@@ -370,53 +374,6 @@ def run_config(cfg: ExperimentConfig) -> Trace:
     return _RUNNERS[run.mode](run.problem(), run.graph(), *run.args)
 
 
-def _run_baseline(p: LinearProblem, g: Graph, h: float,
-                  gamma: GammaSchedule | None, x0, cx, seed: int,
-                  max_rounds: int, stop_tol: float) -> Trace:
-    """Unquantized reference run, recorded in the same trace layout.
-
-    x(0) is drawn as the solver draws it (``x0``, else uniform in
-    [-cx, cx] from ``seed``, else zero); the gain is ``gamma``, or 1
-    without a schedule. A round whose err2 is not finite stops the run
-    with ``ValueError``.
-    """
-    from .oracle import unquantized_step
-
-    ops, y_ref = _setup(p, g)
-    n, m = p.n_nodes, p.dim
-    x = _initial_states(p, x0, cx, seed).reshape(-1)
-    target = np.tile(y_ref, n)
-    rec_k, rec_err2, rec_einf = [0], [float(np.linalg.norm(x - target))], \
-        [np.abs((x - target).reshape(n, m)).max(axis=1)]
-    stop_reason = "max_rounds"
-    for k in range(1, max_rounds + 1):
-        gk = float(gamma.gamma(k - 1)) if gamma else 1.0
-        x = unquantized_step(x, h, gk, ops.Lm, ops.Hd, ops.zH)
-        e2 = float(np.linalg.norm(x - target))
-        if not math.isfinite(e2):
-            raise ValueError(f"baseline err2 is not finite at round {k}: "
-                             "the run diverges")
-        rec_k.append(k)
-        rec_err2.append(e2)
-        rec_einf.append(np.abs((x - target).reshape(n, m)).max(axis=1))
-        if e2 < stop_tol:
-            stop_reason = "error_tolerance"
-            break
-    nrows = len(rec_k)
-    nanv = np.full(nrows, float("nan"))
-    zeros = np.zeros(nrows, dtype=np.int64)
-    return Trace(mode="baseline", k=np.array(rec_k), err2=np.array(rec_err2),
-                 bound_Bk=None, ratio_err_gamma=None, max_quant_input=nanv,
-                 saturation_count=zeros, bits_cum=zeros,
-                 bits_cum_nonzero=zeros, err_inf_per_node=np.array(rec_einf),
-                 stop_reason=stop_reason, x_final=x.reshape(n, m),
-                 y_ref=y_ref, seed=seed)
-
-
-_RUNNERS = {"exact": run_exact, "ls": run_ls, "robust": run_robust,
-            "baseline": _run_baseline}
-
-
 # ---------------------------------------------------------------------------
 # seeded random problems
 # ---------------------------------------------------------------------------
@@ -432,8 +389,8 @@ def random_problem(n: int, m: int, kind: str = "exact",
     """
     if not (n > m >= 1):
         raise ValueError("need n > m >= 1")
-    if kind not in ("exact", "ls"):
-        raise ValueError("kind must be 'exact' or 'ls'")
+    if kind not in _RANDOM_KINDS:
+        raise ValueError(f"kind must be one of {_RANDOM_KINDS}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         H = rng.standard_normal((n, m))
@@ -460,9 +417,10 @@ def random_problem(n: int, m: int, kind: str = "exact",
 @dataclass
 class RunArtifacts:
     example_id: str
-    trace_paths: list
     summary: dict
     checks: list  # (name, passed, detail)
+    outputs: dict  # file name -> Trace or CSV text
+    trace_paths: list = field(default_factory=list)  # filled by reproduce
 
     @property
     def ok(self) -> bool:
@@ -485,20 +443,17 @@ def _write_output(out_dir, name: str, text: str) -> str:
     return path
 
 
-def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
+def _reproduce_ex1_thm1() -> RunArtifacts:
     c = CONSTANTS["ex1_thm1"]
     g, sp = _five_node_spectral()
     p = sp.problem
     h = c["h_numerator"] / (sp.fd_min + sp.fd_max)
-    traces, paths = [], []
+    outputs = {}
     for K in c["K_list"]:
         cfg = ExactConfig(h=h, alpha=c["alpha"], s0=c["s0"], K=K,
                           max_rounds=c["max_rounds"])
-        tr = run_exact(p, g, cfg)
-        traces.append(tr)
-        if out_dir is not None:
-            paths.append(_write_output(out_dir, f"ex1_thm1_K{K}.csv",
-                                       tr.csv_text()))
+        outputs[f"ex1_thm1_K{K}.csv"] = run_exact(p, g, cfg)
+    traces = list(outputs.values())
     checks = []
     ident = all(traces_dynamics_equal(traces[0], t) for t in traces[1:])
     checks.append(("traces_identical_across_K", ident,
@@ -512,24 +467,21 @@ def _reproduce_ex1_thm1(out_dir) -> RunArtifacts:
     summary = {"h": h, "rho_h": 1.0 - h * sp.fd_min,
                "kmin": kmin_from_m(m_value(c["alpha"], h, sp)),
                **t0.summary()}
-    return RunArtifacts("ex1_thm1", paths, summary, checks)
+    return RunArtifacts("ex1_thm1", summary, checks, outputs)
 
 
-def _reproduce_ex1_thm2(out_dir) -> RunArtifacts:
+def _reproduce_ex1_thm2() -> RunArtifacts:
     c = CONSTANTS["ex1_thm2"]
     g, sp = _five_node_spectral()
     p = sp.problem
-    checks, paths = [], []
+    checks, outputs = [], {}
     finals = []
     for (K, alpha, h, s0) in c["rows"]:
         member = xi_membership(alpha, h, K, sp)
         checks.append((f"membership_K{K}", member, f"(alpha={alpha}, h={h})"))
         cfg = ExactConfig(h=h, alpha=alpha, s0=s0, K=K,
                           max_rounds=c["max_rounds"])
-        tr = run_exact(p, g, cfg)
-        if out_dir is not None:
-            paths.append(_write_output(out_dir, f"ex1_thm2_K{K}.csv",
-                                       tr.csv_text()))
+        tr = outputs[f"ex1_thm2_K{K}.csv"] = run_exact(p, g, cfg)
         finals.append(float(tr.err2[-1]))
         converged = tr.err2[-1] < 1e-2 * tr.err2[0]
         checks.append((f"converging_K{K}", bool(converged),
@@ -539,7 +491,7 @@ def _reproduce_ex1_thm2(out_dir) -> RunArtifacts:
                        f"events {int(tr.saturation_count[-1])}"))
     ordered = finals[0] >= finals[1] >= finals[2]
     checks.append(("larger_alphabet_faster", bool(ordered), str(finals)))
-    return RunArtifacts("ex1_thm2", paths, {"finals": finals}, checks)
+    return RunArtifacts("ex1_thm2", {"finals": finals}, checks, outputs)
 
 
 def _ex2_setting():
@@ -550,7 +502,7 @@ def _ex2_setting():
     return build_stacked(p, build_laplacian(g))
 
 
-def _reproduce_ex2(out_dir) -> RunArtifacts:
+def _reproduce_ex2() -> RunArtifacts:
     sp = _ex2_setting()
     theta = theta_n(sp, sp.lap, sp.m, sp.n)
     t_values = [0.005, 0.01, 0.02, 0.05, 0.1]
@@ -566,15 +518,13 @@ def _reproduce_ex2(out_dir) -> RunArtifacts:
     checks.append(("alpha_star_non_increasing", non_inc, str([r[2] for r in rows])))
     lower = all(a > 1.0 - K * theta for (K, _, a, _) in rows)
     checks.append(("alpha_star_above_lower_bound", lower, ""))
-    paths = []
-    if out_dir is not None:
-        text = "K,K_theta,alpha_star,exp_neg_K_theta\n" + "".join(
-            f"{K},{t:.17g},{a:.17g},{e:.17g}\n" for (K, t, a, e) in rows)
-        paths.append(_write_output(out_dir, "ex2_alpha_star.csv", text))
-    return RunArtifacts("ex2", paths, {"theta": theta, "rows": rows}, checks)
+    text = "K,K_theta,alpha_star,exp_neg_K_theta\n" + "".join(
+        f"{K},{t:.17g},{a:.17g},{e:.17g}\n" for (K, t, a, e) in rows)
+    return RunArtifacts("ex2", {"theta": theta, "rows": rows}, checks,
+                        {"ex2_alpha_star.csv": text})
 
 
-def _reproduce_ex3(out_dir, graphs_per_p: int | None = None) -> RunArtifacts:
+def _reproduce_ex3(graphs_per_p: int | None = None) -> RunArtifacts:
     c = CONSTANTS["ex3"]
     n, m = c["n"], c["m"]
     base = random_problem(n, m, "exact", c["seed"])
@@ -602,28 +552,23 @@ def _reproduce_ex3(out_dir, graphs_per_p: int | None = None) -> RunArtifacts:
          all(means[i] > means[i + 1] for i in range(len(means) - 1)),
          str(means)),
     ]
-    paths = []
-    if out_dir is not None:
-        text = "p,mean_theta\n" + "".join(
-            f"{p:.17g},{mt:.17g}\n" for p, mt in zip(c["p_values"], means))
-        paths.append(_write_output(out_dir, "ex3_theta_sweep.csv", text))
-    return RunArtifacts("ex3", paths, {"named": named, "means": means}, checks)
+    text = "p,mean_theta\n" + "".join(
+        f"{p:.17g},{mt:.17g}\n" for p, mt in zip(c["p_values"], means))
+    return RunArtifacts("ex3", {"named": named, "means": means}, checks,
+                        {"ex3_theta_sweep.csv": text})
 
 
-def _reproduce_ex4_thm3(out_dir) -> RunArtifacts:
+def _reproduce_ex4_thm3() -> RunArtifacts:
     c = CONSTANTS["ex4_thm3"]
     p = builtin_problem("ex4")
     g = builtin_graph()
     sched = GammaSchedule(k0=c["k0"], delta=c["delta"])
-    traces, paths = [], []
+    outputs = {}
     for K in c["K_list"]:
         cfg = LSConfig(h=c["h"], K=K, s_r=c["s_r"], gamma=sched,
                        max_rounds=c["max_rounds"])
-        tr = run_ls(p, g, cfg)
-        traces.append(tr)
-        if out_dir is not None:
-            paths.append(_write_output(out_dir, f"ex4_thm3_K{K}.csv",
-                                       tr.csv_text()))
+        outputs[f"ex4_thm3_K{K}.csv"] = run_ls(p, g, cfg)
+    traces = list(outputs.values())
     tref = traces[c["K_list"].index(900)]
     final_inf = float(tref.err_inf_per_node[-1].max())
     tail = tref.ratio_err_gamma[10000:]
@@ -636,14 +581,14 @@ def _reproduce_ex4_thm3(out_dir) -> RunArtifacts:
         ("ratio_err_gamma_bounded", ratio_ok,
          f"tail sup {float(np.max(tail)):.4g}, median {float(np.median(tail)):.4g}"),
     ]
-    return RunArtifacts("ex4_thm3", paths, tref.summary(), checks)
+    return RunArtifacts("ex4_thm3", tref.summary(), checks, outputs)
 
 
-def _reproduce_ex4_thm4(out_dir) -> RunArtifacts:
+def _reproduce_ex4_thm4() -> RunArtifacts:
     c = CONSTANTS["ex4_thm4"]
     p = builtin_problem("ex4")
     g = builtin_graph()
-    checks, paths = [], []
+    checks, outputs = [], {}
     reach = []
     finals = []
     threshold = 0.5
@@ -651,10 +596,7 @@ def _reproduce_ex4_thm4(out_dir) -> RunArtifacts:
         cfg = LSConfig(h=h, K=K, s_r=s_r,
                        gamma=GammaSchedule(k0=k0, delta=delta),
                        max_rounds=c["max_rounds"])
-        tr = run_ls(p, g, cfg)
-        if out_dir is not None:
-            paths.append(_write_output(out_dir, f"ex4_thm4_K{K}.csv",
-                                       tr.csv_text()))
+        tr = outputs[f"ex4_thm4_K{K}.csv"] = run_ls(p, g, cfg)
         hit = np.nonzero(tr.err2 <= threshold)[0]
         reach.append(int(hit[0]) if hit.size else None)
         finals.append(float(tr.err2[-1]))
@@ -669,12 +611,12 @@ def _reproduce_ex4_thm4(out_dir) -> RunArtifacts:
                              for i in range(len(reach) - 1)))
     checks.append((f"larger_alphabet_reaches_{threshold}_sooner",
                    bool(reach_ordered), str(reach)))
-    return RunArtifacts("ex4_thm4", paths,
+    return RunArtifacts("ex4_thm4",
                         {"rounds_to_threshold": reach, "finals": finals},
-                        checks)
+                        checks, outputs)
 
 
-def _reproduce_robustness(out_dir) -> RunArtifacts:
+def _reproduce_robustness() -> RunArtifacts:
     c = CONSTANTS["robustness"]
     p = builtin_problem("ex1")
     g = builtin_graph()
@@ -707,14 +649,12 @@ def _reproduce_robustness(out_dir) -> RunArtifacts:
         ("undamped_init_much_worse", med_ui >= 10.0 * med_di,
          f"undamped {med_ui:.4g} vs damped {med_di:.4g}"),
     ]
-    paths = []
-    if out_dir is not None:
-        text = (f"arm,median_final_err2\ndamped_roundoff,{med_dr:.17g}\n"
-                f"damped_init,{med_di:.17g}\nundamped_init,{med_ui:.17g}\n")
-        paths.append(_write_output(out_dir, "robustness_medians.csv", text))
+    text = (f"arm,median_final_err2\ndamped_roundoff,{med_dr:.17g}\n"
+            f"damped_init,{med_di:.17g}\nundamped_init,{med_ui:.17g}\n")
     summary = {"damped_roundoff": med_dr, "damped_init": med_di,
                "undamped_init": med_ui}
-    return RunArtifacts("robustness", paths, summary, checks)
+    return RunArtifacts("robustness", summary, checks,
+                        {"robustness_medians.csv": text})
 
 
 _REPRODUCERS = {
@@ -733,4 +673,10 @@ def reproduce(example_id: str, out_dir=None, **options) -> RunArtifacts:
     if example_id not in _REPRODUCERS:
         raise ValueError(f"unknown example id {example_id!r}; choose from "
                          f"{sorted(_REPRODUCERS)}")
-    return _REPRODUCERS[example_id](out_dir, **options)
+    arts = _REPRODUCERS[example_id](**options)
+    if out_dir is not None:
+        arts.trace_paths = [
+            _write_output(out_dir, name,
+                          out if isinstance(out, str) else out.csv_text())
+            for name, out in arts.outputs.items()]
+    return arts

@@ -11,7 +11,8 @@ innovation symbol per coordinate. Two modes:
   ``s(k) = s_r * gamma(k)``; converges to the least-squares solution.
 
 A robust variant damps the codec states and injects initialization errors
-and round-off noise (:class:`~quantnet.codec.NoiseModel`).
+and round-off noise (:class:`~quantnet.codec.NoiseModel`);
+:func:`run_baseline` is the unquantized reference they generalise.
 
 State: node i holds x_i and its encoder predictor b_i, both (N, m)
 arrays. Each arc (directed edge) i <- j holds a decoder xhat_ij, node i's
@@ -28,9 +29,10 @@ encoder initialization errors for nodes 1..N, then decoder initialization
 errors for the arcs in ``Graph.arcs`` order; per round, encoder round-off
 noise for nodes 1..N, then decoder round-off noise in the same arc order.
 
-:func:`iter_rounds` is the one round kernel. ``run_exact``, ``run_ls`` and
-``run_robust`` record a :class:`Trace` from it, and ``quantnet
+:func:`iter_rounds` is the one quantized round kernel, and ``quantnet
 oracle-check`` compares its rounds with the matrix-form recursions.
+``_run`` is the one recorder: it turns the rounds of every ``run_*`` into a
+:class:`Trace`, and stops a run whose err2 is not finite.
 
 Where the trace columns are computed, all with the bits of a per-round
 recorder (``tests/test_solver.py`` keeps one as the reference):
@@ -51,11 +53,10 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   kernel's LS scale s_r gamma(k-1) is a per-round value too.
 
 Run set-up: ``_setup`` is the one place that decides which systems a run
-accepts. Every ``run_*``, the unquantized baseline (``harness``) and
-``quantnet oracle-check`` start from it, so they reject the same systems:
-a disconnected graph, a rank-deficient H, and, in exact and robust mode, a
-system without an exact solution. Its checks and the guarantee warning
-run on every call. It reads the summary
+accepts. Every ``run_*`` and ``quantnet oracle-check`` start from it, so
+they reject the same systems: a disconnected graph, a rank-deficient H,
+and, in exact and robust mode, a system without an exact solution. Its
+checks and the guarantee warning run on every call. It reads the summary
 :func:`~quantnet.problem.build_stacked` of the problem on
 ``build_laplacian(g)``. Both are built once per (problem, graph) object
 pair and are read-only, and ``LinearProblem`` holds read-only copies of
@@ -80,17 +81,20 @@ import numpy as np
 
 from .codec import NoiseModel, QuantizerSpec, quantize_vec
 from .graph import Graph, build_laplacian, per_receiver_sum
+from .oracle import unquantized_step
 from .planner import GammaSchedule, bound_B, xi_ls_membership, xi_membership
 from .problem import LinearProblem, build_stacked, classify
 
 __all__ = [
     "ExactConfig",
     "LSConfig",
+    "BaselineConfig",
     "Trace",
     "SaturationError",
     "run_exact",
     "run_ls",
     "run_robust",
+    "run_baseline",
     "traces_dynamics_equal",
     "RoundState",
     "iter_rounds",
@@ -148,6 +152,22 @@ class LSConfig:
     def __post_init__(self):
         if self.h <= 0 or self.s_r <= 0 or self.K < 1 or self.max_rounds < 1:
             raise ValueError("invalid least-squares configuration")
+
+
+@dataclass(frozen=True)
+class BaselineConfig:
+    h: float
+    gamma: GammaSchedule | None = None  # gain gamma(k), or 1 without one
+    max_rounds: int = 3000
+    x0: np.ndarray | None = None
+    cx: float | None = None
+    stop_tol: float = STOP_TOL_DEFAULT
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.h <= 0 or self.max_rounds < 1:
+            raise ValueError("invalid baseline configuration: h must be "
+                             "positive and max_rounds at least 1")
 
 
 @dataclass
@@ -252,8 +272,8 @@ class RoundState(NamedTuple):
 
     k: int
     x: np.ndarray               # (N, m) node states
-    b: np.ndarray               # (N, m) encoder predictors
-    xhat: np.ndarray            # (2E, m) decoders, Graph.arcs order
+    b: np.ndarray | None        # (N, m) encoder predictors (not baseline)
+    xhat: np.ndarray | None     # (2E, m) decoders, Graph.arcs order
     q: np.ndarray | None        # (N, m) symbols sent in round k (k >= 1)
     peaks: np.ndarray | None    # (N,) largest |quantizer input| (k >= 1)
     drift: float | None         # with noise, k >= 1: max |xhat_ij - b_j|
@@ -325,7 +345,18 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
         yield RoundState(k, x, b, xhat, q, peaks, drift)
 
 
-def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
+def _baseline_rounds(p: LinearProblem, sp, cfg: BaselineConfig):
+    """The baseline's rounds, with only ``k`` and ``x``: no codec state."""
+    n, m = p.n_nodes, p.dim
+    x = _initial_states(p, cfg.x0, cfg.cx, cfg.seed).reshape(-1)
+    yield RoundState(0, x.reshape(n, m), None, None, None, None, None)
+    for k in range(1, cfg.max_rounds + 1):
+        gain = float(cfg.gamma.gamma(k - 1)) if cfg.gamma else 1.0
+        x = unquantized_step(x, cfg.h, gain, sp.Lm, sp.Hd, sp.zH)
+        yield RoundState(k, x.reshape(n, m), None, None, None, None, None)
+
+
+def _setup(p: LinearProblem, g: Graph, cfg) -> tuple:
     """(summary, y_ref) of a run, or ``ValueError`` for a system it rejects.
 
     With an :class:`ExactConfig` the system must be exactly solvable. A
@@ -354,12 +385,17 @@ def _setup(p: LinearProblem, g: Graph, cfg=None) -> tuple:
 
 def _run(p: LinearProblem, g: Graph, cfg, mode: str,
          noise: NoiseModel | None = None) -> Trace:
-    """Record a :class:`Trace` of :func:`iter_rounds` for one mode."""
+    """Record a :class:`Trace` of one mode's rounds."""
     n, m = p.n_nodes, p.dim
     sp, y_ref = _setup(p, g, cfg)
-    have_bound = mode != "ls" and cfg.alpha > 1.0 - cfg.h * sp.fd_min
+    have_bound = (isinstance(cfg, ExactConfig)
+                  and cfg.alpha > 1.0 - cfg.h * sp.fd_min)
 
-    bits_per_coord = QuantizerSpec(cfg.K).bits_per_coord
+    if mode == "baseline":
+        rounds, bits_per_coord, K = _baseline_rounds(p, sp, cfg), 0, 0
+    else:
+        rounds, K = iter_rounds(p, g, cfg, noise), cfg.K
+        bits_per_coord = QuantizerSpec(K).bits_per_coord
     bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)
     # symbols sent per nonzero level: one per arc out of the node, its degree
     fanout = g.degrees()
@@ -369,8 +405,9 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     # other columns in whole-array calls when full or when the run ends.
     rows = max(1, min(cfg.max_rounds + 1, _BLOCK_ENTRIES // (n * m)))
     xs = np.empty((rows, n, m))
-    pks = np.empty((rows, n))
-    qs = np.empty((rows, n, m), dtype=np.int64)
+    # rounds that send no symbols (round 0, the baseline) keep nan and 0
+    pks = np.full((rows, n), np.nan)
+    qs = np.zeros((rows, n, m), dtype=np.int64)
     cols = {"einf": [], "maxin": [], "sat": [], "nz": []}
 
     def reduce_block(used: int) -> None:
@@ -378,26 +415,25 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         cols["einf"].append(np.maximum.reduce(np.abs(xs[:used] - y_ref),
                                               axis=2))
         cols["maxin"].append(np.maximum.reduce(pk, axis=1))
-        cols["sat"].append(np.count_nonzero(pk > cfg.K + 0.5, axis=1))
+        cols["sat"].append(np.count_nonzero(pk > K + 0.5, axis=1))
         cols["nz"].append(np.count_nonzero(qs[:used], axis=2) @ fanout)
 
-    robust = mode == "robust"
     err2, drift = [], [float("nan")]
     stop_reason = "max_rounds"
-    for st in iter_rounds(p, g, cfg, noise):
+    for st in rounds:
         k, x = st.k, st.x
         j = k % rows
         xs[j] = x
-        if k:
+        if st.q is not None:
             pks[j] = st.peaks
             qs[j] = st.q
-            if robust:
+            if st.drift is not None:
                 drift.append(st.drift)
-        else:
-            pks[j] = np.nan
-            qs[j] = 0
         d = (x - y_ref).ravel()
         e2 = math.sqrt(d.dot(d))   # the bits of np.linalg.norm
+        if not math.isfinite(e2):
+            raise ValueError(f"{mode} err2 is not finite at round {k}: "
+                             "the run diverges")
         err2.append(e2)
         stop = k > 0 and e2 < cfg.stop_tol
         if stop or j == rows - 1 or k == cfg.max_rounds:
@@ -426,7 +462,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         bits_cum=ks * bits_fixed_per_round,
         bits_cum_nonzero=bits_per_coord * nz_cum,
         err_inf_per_node=einf,
-        drift=np.array(drift) if robust else None,
+        drift=np.array(drift) if noise is not None else None,
         stop_reason=stop_reason,
         x_final=x,
         y_ref=y_ref,
@@ -447,8 +483,9 @@ def run_ls(p: LinearProblem, g: Graph, cfg: LSConfig) -> Trace:
 def run_robust(p: LinearProblem, g: Graph, cfg: ExactConfig,
                noise: NoiseModel) -> Trace:
     """Exact-mode run with the damped/noisy codec variant."""
-    if noise.is_ideal():
-        tr = _run(p, g, cfg, "exact")
-        tr.mode = "robust"
-        return tr
-    return _run(p, g, cfg, "robust", noise=noise)
+    return _run(p, g, cfg, "robust", None if noise.is_ideal() else noise)
+
+
+def run_baseline(p: LinearProblem, g: Graph, cfg: BaselineConfig) -> Trace:
+    """Unquantized reference run, recorded in the same trace layout."""
+    return _run(p, g, cfg, "baseline")

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,52 @@ def test_summary_recompute():
     assert s["final_err2"] == pytest.approx(float(tr.err2[-1]))
     assert s["bits_total"] == int(tr.bits_cum[-1])
     assert s["saturation_total"] == int(tr.saturation_count[-1])
+
+
+@pytest.mark.parametrize("text, key", [
+    (EXACT_CFG.replace("problem.builtin = ex1", "problem.builtin = ex9"),
+     "problem.builtin"),
+    (EXACT_CFG.replace("graph.builtin = fig1", "graph.builtin = fig9"),
+     "graph.builtin"),
+    (EXACT_CFG.replace("graph.builtin = fig1",
+                       "graph.kind = ring\ngraph.n = 5"), "graph.kind"),
+    (RANDOM_ER_CFG.replace("problem.random.kind = exact",
+                           "problem.random.kind = exactly"),
+     "problem.random.kind"),
+], ids=["builtin_problem", "builtin_graph", "graph_kind", "random_kind"])
+def test_unknown_name_is_a_usage_error(tmp_path, capsys, text, key):
+    # refused by the reader, before a builder would fail on it
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)}: must be one"):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["solve", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"{key}: must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_reproduce_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    arts = reproduce("ex2")
+    assert arts.ok and arts.trace_paths == [] and list(arts.outputs)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("example_id", ["ex2", "ex1_thm1"])
+def test_reproduce_writes_each_output_as_rendered(example_id, tmp_path):
+    out = tmp_path / "out"
+    # ex1_thm1 runs K = 100, below Kmin = 225
+    with (pytest.warns(RuntimeWarning) if example_id == "ex1_thm1"
+          else contextlib.nullcontext()):
+        arts = reproduce(example_id, out_dir=out)
+    assert arts.trace_paths == [os.path.join(out, name)
+                                for name in arts.outputs]
+    assert sorted(os.listdir(out)) == sorted(arts.outputs)
+    for path, rendered in zip(arts.trace_paths, arts.outputs.values()):
+        if not isinstance(rendered, str):
+            rendered = rendered.csv_text()
+        with open(path, "rb") as fh:
+            assert fh.read() == rendered.encode()
 
 
 def test_reproduce_unknown_id():

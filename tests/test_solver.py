@@ -19,8 +19,10 @@ from quantnet.planner import (GammaSchedule, bound_B, plan_exact, plan_ls,
                               spectral_data, xi_ls_membership, xi_membership)
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
                               classify, stacked_extremes)
-from quantnet.solver import (ExactConfig, LSConfig, SaturationError,
-                             iter_rounds, run_exact, run_ls, run_robust,
+from quantnet.oracle import unquantized_step
+from quantnet.solver import (BaselineConfig, ExactConfig, LSConfig,
+                             SaturationError, iter_rounds, run_baseline,
+                             run_exact, run_ls, run_robust,
                              traces_dynamics_equal)
 
 
@@ -562,3 +564,81 @@ def test_csv_text_matches_per_row_renderer(ex1_setting, ex4_setting):
 def test_gamma_matches_numpy_scalar_formula(k0, delta, k):
     sched = GammaSchedule(k0=k0, delta=delta)
     assert sched.gamma(k) == _gamma_ref(sched, k)
+
+
+# ---------------------------------------------------------------------------
+# the unquantized baseline against its former per-round recorder
+# ---------------------------------------------------------------------------
+
+def _baseline_reference(p, g, cfg):
+    """The baseline recorded the way it was before ``solver._run`` recorded
+    it: ``unquantized_step`` on the stacked state, then ``np.linalg.norm``
+    and ``.max(axis=1)`` per round. Returns the columns, or the round whose
+    err2 is not finite."""
+    sp = build_stacked(p, build_laplacian(g))
+    y = classify(p).solution
+    n, m = p.n_nodes, p.dim
+    x = (np.random.default_rng(cfg.seed).uniform(-cfg.cx, cfg.cx, n * m)
+         if cfg.cx is not None else np.zeros(n * m))
+    target = np.tile(y, n)
+    err2 = [float(np.linalg.norm(x - target))]
+    einf = [np.abs((x - target).reshape(n, m)).max(axis=1)]
+    stop_reason = "max_rounds"
+    for k in range(1, cfg.max_rounds + 1):
+        gk = float(cfg.gamma.gamma(k - 1)) if cfg.gamma else 1.0
+        x = unquantized_step(x, cfg.h, gk, sp.Lm, sp.Hd, sp.zH)
+        e2 = float(np.linalg.norm(x - target))
+        if not math.isfinite(e2):
+            return k
+        err2.append(e2)
+        einf.append(np.abs((x - target).reshape(n, m)).max(axis=1))
+        if e2 < cfg.stop_tol:
+            stop_reason = "error_tolerance"
+            break
+    return dict(err2=np.array(err2), einf=np.array(einf),
+                x_final=x.reshape(n, m), stop_reason=stop_reason)
+
+
+@pytest.mark.parametrize("cfg, stop_reason", [
+    (BaselineConfig(h=0.3, max_rounds=7000, stop_tol=0.0), "max_rounds"),
+    (BaselineConfig(h=0.3, gamma=GammaSchedule(k0=26.0, delta=0.85),
+                    max_rounds=400), "max_rounds"),
+    (BaselineConfig(h=0.3, cx=0.5, seed=3, max_rounds=400), "max_rounds"),
+    (BaselineConfig(h=0.3, cx=0.5, seed=3), "error_tolerance"),
+], ids=["gain1_full_block", "gamma", "cx_seed", "error_tolerance"])
+def test_baseline_columns_match_per_round_reference(ex1_setting, cfg,
+                                                    stop_reason):
+    # the first case runs past the 6553-round block of a five-node, m = 2 run
+    p, g, _, _, _ = ex1_setting
+    ref = _baseline_reference(p, g, cfg)
+    tr = run_baseline(p, g, cfg)
+    assert tr.stop_reason == ref["stop_reason"] == stop_reason
+    rows = len(ref["err2"])
+    assert np.array_equal(tr.k, np.arange(rows))
+    for col, key in ((tr.err2, "err2"), (tr.err_inf_per_node, "einf"),
+                     (tr.x_final, "x_final")):
+        assert col.shape == ref[key].shape
+        assert col.tobytes() == ref[key].tobytes()
+    assert tr.max_quant_input.shape == (rows,)
+    assert np.isnan(tr.max_quant_input).all()
+    for col in (tr.saturation_count, tr.bits_cum, tr.bits_cum_nonzero):
+        assert col.dtype == np.int64 and np.array_equal(col, np.zeros(rows))
+    assert tr.bound_Bk is None and tr.ratio_err_gamma is None
+    assert tr.drift is None and tr.mode == "baseline" and tr.seed == cfg.seed
+
+
+def test_baseline_overflow_raises_at_the_reference_round(ex1_setting):
+    p, g, _, _, _ = ex1_setting
+    cfg = BaselineConfig(h=5.0, max_rounds=2000)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        k = _baseline_reference(p, g, cfg)
+        with pytest.raises(ValueError, match=f"baseline err2 is not finite "
+                           f"at round {k}: the run diverges"):
+            run_baseline(p, g, cfg)
+    assert k == 116
+
+
+@pytest.mark.parametrize("kwargs", [dict(h=0.0), dict(h=0.3, max_rounds=0)])
+def test_baseline_config_validates_itself(kwargs):
+    with pytest.raises(ValueError, match="invalid baseline configuration"):
+        BaselineConfig(**kwargs)

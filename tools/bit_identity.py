@@ -61,6 +61,13 @@ the ``format_graph`` text, the bytes of ``Graph.arcs`` and ``degrees()``,
 0.15) seed 1 and ER(20, 0.1) seed 5, which the generator retries; fig1;
 and a parsed text with reversed, repeated and commented lines.
 
+A separate ``reproduce`` digest covers the files that ``reproduce(id,
+out_dir=tmp)`` writes for ``ex1_thm1``, ``ex2``, ``ex4_thm3`` and
+``ex4_thm4``. Per id it is sha256 over each file's name and bytes, the
+files in name order; one line per id is printed, then sha256 over the
+per-id digests. It checks each reproducer's outputs byte for byte, and the
+one writer in ``reproduce`` that puts them on disk.
+
 BLAS is pinned to one thread, so the dense eigensolves take one path.
 """
 
@@ -73,6 +80,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -85,7 +93,7 @@ from quantnet.graph import (build_laplacian, format_graph,  # noqa: E402
                             generate_graph, parse_graph)
 from quantnet.harness import (CONSTANTS, builtin_graph,  # noqa: E402
                               builtin_problem, parse_config, random_problem,
-                              run_config)
+                              reproduce, run_config)
 from quantnet.planner import (GammaSchedule, alpha_star,  # noqa: E402
                               m_value, plan_exact, plan_ls, spectral_data)
 from quantnet.problem import (LinearProblem, build_stacked,  # noqa: E402
@@ -252,6 +260,20 @@ def planner_values(p, g) -> list:
     return [repr(v) for v in vals]
 
 
+REPRODUCE_IDS = ("ex1_thm1", "ex2", "ex4_thm3", "ex4_thm4")
+
+
+def reproduce_digest(example_id: str) -> str:
+    """sha256 over the name and bytes of each file the reproduction writes."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        reproduce(example_id, out_dir=tmp)
+        for name in sorted(os.listdir(tmp)):
+            h.update(name.encode())
+            h.update(Path(tmp, name).read_bytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     combined = hashlib.sha256()
     differ = []
@@ -293,6 +315,14 @@ def main() -> None:
         graphs.update(d.encode())
         print(f"{name:28s} retries={g.retries} {d}")
     print(f"{'graphs':28s} {graphs.hexdigest()}")
+    repro = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for example_id in REPRODUCE_IDS:
+            d = reproduce_digest(example_id)
+            repro.update(d.encode())
+            print(f"{example_id:28s} {d}")
+    print(f"{'reproduce':28s} {repro.hexdigest()}")
     if differ:
         sys.exit("a run on a held summary differs from its first run: "
                  + ", ".join(differ))
