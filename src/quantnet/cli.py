@@ -11,7 +11,8 @@ import sys
 
 import numpy as np
 
-from .graph import Graph, build_laplacian, generate_graph, load_graph
+from .graph import (GRAPH_KINDS, Graph, build_laplacian, generate_graph,
+                    load_graph)
 from .harness import (_BUILTIN_GRAPHS, _BUILTIN_PROBLEMS, _REPRODUCERS,
                       _read_run, _write_output, builtin_graph, builtin_problem,
                       load_config, random_problem, reproduce, run_config)
@@ -148,8 +149,12 @@ def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
 
 
 def _cmd_alpha_star(args) -> int:
+    er = args.graph == "erdos_renyi"
+    if args.p is not None and not er:
+        raise ValueError("--p applies to erdos_renyi graphs only")
     if args.problem:
-        given = [f"--{k}" for k in ("n", "m", "seed")
+        # an erdos_renyi graph reads --seed, a random problem all three
+        given = [f"--{k}" for k in (("n", "m") if er else ("n", "m", "seed"))
                  if getattr(args, k) is not None]
         if given:
             raise ValueError(f"{', '.join(given)}: only a random problem "
@@ -159,8 +164,9 @@ def _cmd_alpha_star(args) -> int:
         p = random_problem(100 if args.n is None else args.n,
                            5 if args.m is None else args.m, "exact",
                            args.seed or 0)
-    if args.graph in ("cycle", "star", "complete"):
-        g = generate_graph(args.graph, p.n_nodes)
+    if args.graph in GRAPH_KINDS:
+        g = generate_graph(args.graph, p.n_nodes,
+                           0.5 if args.p is None else args.p, args.seed or 0)
     else:
         g = _load_named_graph(args.graph)
     sp = build_stacked(p, build_laplacian(g))
@@ -253,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random problem only (default 100)")
     sp.add_argument("--m", type=int, default=None,
                     help="random problem only (default 5)")
+    sp.add_argument("--p", type=float, default=None,
+                    help="erdos_renyi only (default 0.5)")
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_alpha_star)
 

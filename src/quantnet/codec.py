@@ -9,10 +9,11 @@ damped or not.
 
 :func:`quantize_vec` is the one vectorized quantizer: the solver's round
 kernel (``solver.iter_rounds``) and the matrix-form oracle both call it.
-:func:`quantize` is its scalar reference. :class:`NoiseModel` configures
-the damped variant, b <- s q + d b (and likewise xhat), with
-initialization errors and additive round-off noise that model imperfect
-digital hardware.
+It returns the levels as integer-valued float64, which the kernel scales
+without a cast. :func:`quantize` is its scalar reference.
+:class:`NoiseModel` configures the damped variant, b <- s q + d b (and
+likewise xhat), with initialization errors and additive round-off noise
+that model imperfect digital hardware.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ def quantize(zval: float, K: int) -> int:
 def quantize_vec(v: np.ndarray, K: int) -> tuple:
     """Componentwise quantizer. Returns (levels, peaks).
 
-    ``levels`` are the int64 symbols of :func:`quantize`, computed as
-    copysign(min(ceil(|v| - 1/2), K), v). ``peaks`` holds the largest |v|
-    along the last axis: one per node for the kernel's (N, m) input, a
-    scalar for a stacked vector. An input saturates exactly when its peak
-    exceeds K + 1/2. Raises ``ValueError`` when an input is not finite,
-    which is how a diverging or underflowing run stops.
+    ``levels`` are the symbols of :func:`quantize` as integer-valued
+    float64, computed as copysign(min(ceil(|v| - 1/2), K), v), so a caller
+    scales them without an integer-to-float cast. ``peaks`` holds the
+    largest |v| along the last axis: one per node for the kernel's (N, m)
+    input, a scalar for a stacked vector. An input saturates exactly when
+    its peak exceeds K + 1/2. Raises ``ValueError`` when an input is not
+    finite, which is how a diverging or underflowing run stops.
     """
     v = np.asarray(v, dtype=float)
     if K < 1:
@@ -80,8 +82,10 @@ def quantize_vec(v: np.ndarray, K: int) -> tuple:
     # nan or inf for a non-finite input
     if not math.isfinite(np.maximum.reduce(peaks, axis=None, initial=0.0)):
         raise ValueError("quantizer input must be finite")
-    q = np.copysign(np.minimum(np.ceil(mag - 0.5), K), v)
-    return q.astype(np.int64), peaks
+    mag -= 0.5
+    np.ceil(mag, out=mag)
+    np.minimum(mag, K, out=mag)
+    return np.copysign(mag, v, out=mag), peaks
 
 
 @dataclass(frozen=True)

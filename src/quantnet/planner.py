@@ -275,8 +275,8 @@ def m_prime(h: float, beta0: float, sp: StackedOperators, cx: float) -> tuple:
     return m1, m2, mp, kmin_from_m(mp)
 
 
-def xi_ls_membership(h: float, beta0: float, K: int, sp: StackedOperators,
-                     cx: float = 0.0) -> bool:
+def xi_ls_membership(h: float, beta0: float, K: int,
+                     sp: StackedOperators) -> bool:
     """Least-squares feasibility: h in (0, min{2/(lambda2+lambdaN),
     1/fd_min}), beta0 in (1, 1/(1 - h lambda2)), Mprime <= K + 1/2."""
     if not (0.0 < h < sp.h_cap_ls):
@@ -284,7 +284,7 @@ def xi_ls_membership(h: float, beta0: float, K: int, sp: StackedOperators,
     rho_hat = 1.0 - h * sp.lambda2
     if not (1.0 < beta0 < 1.0 / rho_hat):
         return False
-    _, _, mp, _ = m_prime(h, beta0, sp, cx)
+    _, _, mp, _ = m_prime(h, beta0, sp, 0.0)   # Mprime does not read cx
     return mp <= K + 0.5
 
 
@@ -343,4 +343,4 @@ def plan_ls(K: int, eps: float, sp: StackedOperators, delta: float,
                   Kmin_ls_raw=kmin_raw, Kmin_ls=max(1, kmin_raw),
                   sr_min=sr_lower_bound(h, K, cx, sp, m1, m2),
                   gamma=sched, eps=eps, h_star_ls=h_star, K=K,
-                  member=xi_ls_membership(h, beta0, K, sp, cx))
+                  member=xi_ls_membership(h, beta0, K, sp))

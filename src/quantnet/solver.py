@@ -16,18 +16,27 @@ and round-off noise (:class:`~quantnet.codec.NoiseModel`);
 
 State: node i holds x_i and its encoder predictor b_i, both (N, m)
 arrays. Each arc (directed edge) i <- j holds a decoder xhat_ij, node i's
-reconstruction of b_j. The decoders form one (2E, m) array in the order of
-:attr:`~quantnet.graph.Graph.arcs`, sorted by (receiver, sender), and the
-consensus term sums them per receiver in that order
-(:func:`~quantnet.graph.per_receiver_sum`). A round therefore costs
-O(E*m) time and memory. All nodes advance in lockstep from round-(k-1)
-state.
+reconstruction of b_j, in the order of :attr:`~quantnet.graph.Graph.arcs`,
+sorted by (receiver, sender); the consensus term sums the decoders per
+receiver in that order (:func:`~quantnet.graph.per_receiver_sum`). The
+predictors and the decoders are one (N + 2E, m) codec-state array: rows
+0..N-1 are b, the rest xhat, and row r integrates the symbol of node
+``owner[r]``, with ``owner`` the node indices followed by the arcs'
+senders. One gather of the scaled symbols by ``owner`` (``take``) and one
+add update every codec state. A round therefore costs O(E*m) time and
+memory. All nodes advance in lockstep from round-(k-1) state.
 
 Draw order (documented, fixed): with ``cx`` set, x(0) is uniform in
 [-cx, cx] from ``cfg.seed``. Robust mode draws from ``noise.seed``:
 encoder initialization errors for nodes 1..N, then decoder initialization
 errors for the arcs in ``Graph.arcs`` order; per round, encoder round-off
 noise for nodes 1..N, then decoder round-off noise in the same arc order.
+The kernel makes these draws in whole-array calls, which a ``Generator``
+fills in C order from one stream, so the values and their order are those
+of the per-round draws: one (N + 2E, m) draw of initialization errors,
+and one (R, N + 2E, m) draw of round-off noise per block of R rounds (R =
+``_BLOCK_ENTRIES // ((N + 2E) * m)``, at most the rounds left), of which
+round k adds row (k - 1) % R.
 
 :func:`iter_rounds` is the one quantized round kernel, and ``quantnet
 oracle-check`` compares its rounds with the matrix-form recursions.
@@ -38,12 +47,15 @@ Where the trace columns are computed, all with the bits of a per-round
 recorder (``tests/test_solver.py`` keeps one as the reference):
 
 * per round: ``err2`` as sqrt(d.d), the bits of ``np.linalg.norm``,
-  because the stop test reads it; ``drift``, which the kernel returns;
+  because the stop test reads it;
 * per block of rounds, in whole-array calls over buffered x(k), quantizer
   peaks and symbols (``_BLOCK_ENTRIES`` entries each, about 1 MB: x(k)
-  and the symbols take 0.5 MB apiece):
-  ``err_inf_per_node``, ``max_quant_input``, ``saturation_count`` and
-  ``bits_cum_nonzero``;
+  and the symbols take 0.5 MB apiece) and, with noise, codec states (a
+  robust block holds ``_BLOCK_ENTRIES`` codec-state entries, so its x(k)
+  and symbol buffers are smaller):
+  ``err_inf_per_node``, ``max_quant_input``, ``saturation_count``,
+  ``bits_cum_nonzero`` and, with noise, ``drift``, max |xhat_ij - b_j|
+  (nan at round 0);
 * after the run: ``k``, ``bits_cum`` = k times the bits of one round,
   ``bound_Bk`` from one ``bound_B`` call on all rounds, and
   ``ratio_err_gamma``, whose gamma(k) is a scalar pow per round
@@ -104,7 +116,9 @@ PRNG_ID = "numpy-pcg64"  # bit generator used for every seeded draw
 STOP_TOL_DEFAULT = 1e-12
 # Entries (rounds x N x m) of one block of states that _run buffers before
 # reducing them to trace columns. x(k) (float64) and the symbols (int64)
-# take 0.5 MB each, so a run holds about 1 MB of buffers.
+# take 0.5 MB each, so a run holds about 1 MB of buffers. With noise, a
+# block holds this many codec-state entries (rounds x (N + 2E) x m), and
+# the kernel draws round-off noise for as many rounds at once.
 _BLOCK_ENTRIES = 65536
 
 
@@ -276,7 +290,6 @@ class RoundState(NamedTuple):
     xhat: np.ndarray | None     # (2E, m) decoders, Graph.arcs order
     q: np.ndarray | None        # (N, m) symbols sent in round k (k >= 1)
     peaks: np.ndarray | None    # (N,) largest |quantizer input| (k >= 1)
-    drift: float | None         # with noise, k >= 1: max |xhat_ij - b_j|
 
 
 def iter_rounds(p: LinearProblem, g: Graph, cfg,
@@ -292,18 +305,19 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     n, m = p.n_nodes, p.dim
     recv, send = g.arcs
     heard_by = per_receiver_sum(recv, n, m)
+    # codec-state row r integrates the symbols of node owner[r]: the N
+    # predictors, then the 2E decoders in arc order
+    owner = np.concatenate((np.arange(n), send))
     x = _initial_states(p, cfg.x0, cfg.cx, cfg.seed)
-    b = np.zeros((n, m))
-    xhat = np.zeros((len(recv), m))
+    bx = np.zeros((len(owner), m))
     damping, roundoff, rng = 1.0, False, None
     if noise is not None:
         damping, roundoff = noise.damping, noise.roundoff_enabled
         rng = np.random.default_rng(noise.seed)
         if noise.init_errors_enabled:
             lo, hi = noise.init_error_range
-            b = rng.uniform(lo, hi, size=(n, m))
-            xhat = rng.uniform(lo, hi, size=xhat.shape)
-    yield RoundState(0, x, b, xhat, None, None, None)
+            bx = rng.uniform(lo, hi, size=bx.shape)
+    yield RoundState(0, x, bx[:n], bx[n:], None, None)
 
     ls = isinstance(cfg, LSConfig)
     damped = damping != 1.0
@@ -311,49 +325,49 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     degc = g.degrees()[:, None]
     if ls:
         gamma, s_r = cfg.gamma.gamma, cfg.s_r
+    if roundoff:
+        # one draw per block of rounds; a Generator fills it in C order, so
+        # row (k - 1) % block holds the values of round k's own draws
+        amp = noise.roundoff_amp
+        block = max(1, _BLOCK_ENTRIES // bx.size)
     for k in range(1, cfg.max_rounds + 1):
         # state update from round-(k-1) information; the consensus term is
         # zero at the first update when the codec states start at rest
+        b = bx[:n]
         grad = (np.einsum("ij,ij->i", H, x) - z)[:, None] * H
-        heard = heard_by(xhat)
+        heard = heard_by(bx[n:])
         if ls:
             gain = gamma(k - 1)
             s_prev = s_r * gain
-            x = x + h * ((heard - degc * b) - gain * grad)
+            x = x + ((heard - degc * b) - grad * gain) * h
         else:
             s_prev = cfg.s0 * cfg.alpha ** (k - 1)
-            x = x + h * ((heard - degc * b) - grad)
+            x = x + ((heard - degc * b) - grad) * h
 
         # transmission of round k: encode x(k) at scale s(k-1)
         q, peaks = quantize_vec((x - b) / s_prev, K)
         if cfg.strict_saturation and (peaks > K + 0.5).any():
             raise SaturationError(k)
-        sq = s_prev * q
-        if damped:
-            b = sq + damping * b
-            xhat = sq[send] + damping * xhat
-        else:
-            b = sq + b
-            xhat = sq[send] + xhat
+        sq = (q * s_prev).take(owner, axis=0)
+        bx = sq + bx * damping if damped else sq + bx
         if roundoff:
-            amp = noise.roundoff_amp
-            b = b + rng.uniform(-amp, amp, size=b.shape)
-            xhat = xhat + rng.uniform(-amp, amp, size=xhat.shape)
-
-        drift = (float(np.maximum.reduce(np.abs(xhat - b[send]), axis=None))
-                 if noise is not None else None)
-        yield RoundState(k, x, b, xhat, q, peaks, drift)
+            j = (k - 1) % block
+            if j == 0:
+                draws = rng.uniform(-amp, amp, size=(
+                    min(block, cfg.max_rounds - k + 1), *bx.shape))
+            bx += draws[j]
+        yield RoundState(k, x, bx[:n], bx[n:], q, peaks)
 
 
 def _baseline_rounds(p: LinearProblem, sp, cfg: BaselineConfig):
     """The baseline's rounds, with only ``k`` and ``x``: no codec state."""
     n, m = p.n_nodes, p.dim
     x = _initial_states(p, cfg.x0, cfg.cx, cfg.seed).reshape(-1)
-    yield RoundState(0, x.reshape(n, m), None, None, None, None, None)
+    yield RoundState(0, x.reshape(n, m), None, None, None, None)
     for k in range(1, cfg.max_rounds + 1):
         gain = float(cfg.gamma.gamma(k - 1)) if cfg.gamma else 1.0
         x = unquantized_step(x, cfg.h, gain, sp.Lm, sp.Hd, sp.zH)
-        yield RoundState(k, x.reshape(n, m), None, None, None, None, None)
+        yield RoundState(k, x.reshape(n, m), None, None, None, None)
 
 
 def _setup(p: LinearProblem, g: Graph, cfg) -> tuple:
@@ -401,14 +415,20 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     fanout = g.degrees()
 
     # Per round only err2 (the stop test reads it) is computed; x, the
-    # peaks and the symbols go into block buffers, which are reduced to the
-    # other columns in whole-array calls when full or when the run ends.
-    rows = max(1, min(cfg.max_rounds + 1, _BLOCK_ENTRIES // (n * m)))
+    # peaks, the symbols and, with noise, the codec states go into block
+    # buffers, which are reduced to the other columns in whole-array calls
+    # when full or when the run ends.
+    send = g.arcs[1]
+    width = n + len(send) if noise is not None else n
+    rows = max(1, min(cfg.max_rounds + 1, _BLOCK_ENTRIES // (width * m)))
     xs = np.empty((rows, n, m))
     # rounds that send no symbols (round 0, the baseline) keep nan and 0
     pks = np.full((rows, n), np.nan)
     qs = np.zeros((rows, n, m), dtype=np.int64)
-    cols = {"einf": [], "maxin": [], "sat": [], "nz": []}
+    cols = {"einf": [], "maxin": [], "sat": [], "nz": [], "drift": []}
+    if noise is not None:
+        bs = np.empty((rows, n, m))
+        xhs = np.empty((rows, len(send), m))
 
     def reduce_block(used: int) -> None:
         pk = pks[:used]
@@ -417,8 +437,11 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         cols["maxin"].append(np.maximum.reduce(pk, axis=1))
         cols["sat"].append(np.count_nonzero(pk > K + 0.5, axis=1))
         cols["nz"].append(np.count_nonzero(qs[:used], axis=2) @ fanout)
+        if noise is not None:
+            cols["drift"].append(np.maximum.reduce(np.abs(
+                xhs[:used] - bs[:used].take(send, axis=1)), axis=(1, 2)))
 
-    err2, drift = [], [float("nan")]
+    err2 = []
     stop_reason = "max_rounds"
     for st in rounds:
         k, x = st.k, st.x
@@ -427,8 +450,9 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         if st.q is not None:
             pks[j] = st.peaks
             qs[j] = st.q
-            if st.drift is not None:
-                drift.append(st.drift)
+        if noise is not None:
+            bs[j] = st.b
+            xhs[j] = st.xhat
         d = (x - y_ref).ravel()
         e2 = math.sqrt(d.dot(d))   # the bits of np.linalg.norm
         if not math.isfinite(e2):
@@ -450,6 +474,10 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         gamma = np.array([cfg.gamma.gamma(k) for k in range(len(ks))])
         ratio = np.maximum.reduce(einf, axis=1) / gamma
     nz_cum = np.cumsum(np.concatenate(cols["nz"]))
+    drift = None
+    if noise is not None:
+        drift = np.concatenate(cols["drift"])
+        drift[0] = np.nan       # no symbols before round 1
     return Trace(
         mode=mode,
         k=ks,
@@ -462,7 +490,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         bits_cum=ks * bits_fixed_per_round,
         bits_cum_nonzero=bits_per_coord * nz_cum,
         err_inf_per_node=einf,
-        drift=np.array(drift) if noise is not None else None,
+        drift=drift,
         stop_reason=stop_reason,
         x_final=x,
         y_ref=y_ref,

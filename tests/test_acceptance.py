@@ -206,7 +206,7 @@ def test_criterion_08_table_rows_membership(five_ls_sp, row):
     # membership nor the printed reference-scale bound can hold
     K, k0, delta, h, s_r = row
     beta0 = (1.0 + 1.0 / k0) ** delta
-    assert xi_ls_membership(h, beta0, K, five_ls_sp, 0.0), \
+    assert xi_ls_membership(h, beta0, K, five_ls_sp), \
         f"beta0={beta0:.6f} vs cap {1.0 / (1.0 - h * five_ls_sp.lambda2):.6f}"
     m1, m2, _, _ = m_prime(h, beta0, five_ls_sp, cx=0.0)
     assert s_r >= sr_lower_bound(h, K, 0.0, five_ls_sp, m1, m2)

@@ -491,6 +491,20 @@ def test_cli_plan_and_alpha_star(tmp_path, capsys):
     assert "theta_n" in out and "alpha_star K=100" in out
 
 
+def test_cli_alpha_star_on_erdos_renyi(capsys):
+    # the graph kinds are sweep's: --p sets the edge probability and
+    # --seed the graph's seed, also beside a named problem
+    assert main(["alpha-star", "--K", "10", "--graph", "erdos_renyi",
+                 "--n", "30", "--p", "0.3", "--seed", "2"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    p = random_problem(30, 5, "exact", 2)
+    g = generate_graph("erdos_renyi", 30, 0.3, 2)
+    sp = build_stacked(p, build_laplacian(g))
+    assert line.startswith(f"alpha_star K=10 = {alpha_star(10, sp):.17g} ")
+    assert main(["alpha-star", "--K", "10", "--graph", "erdos_renyi",
+                 "--problem", "ex1", "--seed", "3"]) == 0
+
+
 def test_cli_oracle_check(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(EXACT_CFG)
@@ -589,9 +603,11 @@ def test_cli_rejects_flags_a_command_ignores():
     (["sweep", "--graph-kinds", "cycle", "--p", "0.9", "--K", "10"], "--p"),
     (["alpha-star", "--K", "10", "--problem", "ex1", "--n", "77", "--m", "9",
       "--seed", "4"], "--n"),
+    (["alpha-star", "--K", "10", "--graph", "cycle", "--p", "0.3"], "--p"),
     (["solve", "{baseline}", "--strict-saturation"], "--strict-saturation"),
 ], ids=["plan_ls_cw", "plan_exact_delta", "plan_exact_cx_alone",
         "plan_exact_cw_alone", "sweep_p", "alpha_star_random_sizes",
+        "alpha_star_p",
         "solve_baseline_strict"])
 def test_cli_flag_the_command_would_ignore_is_a_usage_error(
         tmp_path, capsys, argv, flag):

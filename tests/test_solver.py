@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from quantnet import solver
 from quantnet.codec import NoiseModel, QuantizerSpec
-from quantnet.graph import Graph, build_laplacian, generate_graph
-from quantnet.harness import parse_config, random_problem, run_config
+from quantnet.graph import (Graph, build_laplacian, generate_graph,
+                            per_receiver_sum)
+from quantnet.harness import (CONSTANTS, parse_config, random_problem,
+                              run_config)
 from quantnet.planner import (GammaSchedule, bound_B, plan_exact, plan_ls,
                               spectral_data, xi_ls_membership, xi_membership)
 from quantnet.problem import (DENSE_MAX_DIM, LinearProblem, build_stacked,
@@ -310,7 +312,9 @@ def test_spectral_setup_draws_from_no_user_seed(cycle_above_dense_size):
     assert np.array_equal(states[0].x, x0)
     assert tr.err2[0] == np.linalg.norm(x0 - tr.y_ref[None, :])
     assert np.array_equal(tr.x_final, states[-1].x)
-    assert np.array_equal(tr.drift[1:], [st.drift for st in states[1:]])
+    send = g.arcs[1]
+    assert np.array_equal(tr.drift[1:], [np.abs(st.xhat - st.b[send]).max()
+                                         for st in states[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,8 @@ def _reference_trace(p, g, cfg, mode, noise=None):
             if mode == "ls":
                 cols["ratio"].append(float(einf.max()
                                            / _gamma_ref(cfg.gamma, k)))
-            cols["drift"].append(float("nan") if k == 0 else st.drift)
+            cols["drift"].append(float("nan") if k == 0 else float(
+                np.abs(st.xhat - st.b[g.arcs[1]]).max()))
             if k > 0 and e2 < cfg.stop_tol:
                 stop_reason = "error_tolerance"
                 break
@@ -437,7 +442,8 @@ def _run_mode(p, g, cfg, mode, noise):
 def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
                                                  gain, scale, stop_tol,
                                                  strict, max_rounds, block):
-    # blocks of ``block`` rounds, so that runs span several blocks and stop
+    # blocks of ``block`` rounds (fewer in robust runs, whose blocks also
+    # hold the codec states), so that runs span several blocks and stop
     # anywhere in one
     if n <= m:
         n = m + 1
@@ -477,7 +483,9 @@ def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
 
 
 def test_trace_columns_across_a_full_block(ex1_problem, fig1_graph):
-    # the default block of a five-node, m = 2 run holds 6553 rounds
+    # the default block of a five-node, m = 2 run holds 6553 rounds of x;
+    # with noise the 15 codec rows (5 predictors, 10 decoders) cut the
+    # recorder's and the noise draws' blocks to 2184 rounds
     rows = solver._BLOCK_ENTRIES // 10
     cfg = ExactConfig(h=0.0213, alpha=0.998, s0=10.0, K=300,
                       max_rounds=rows + 20, cx=1.0, seed=2)
@@ -487,6 +495,121 @@ def test_trace_columns_across_a_full_block(ex1_problem, fig1_graph):
     tr = run_robust(ex1_problem, fig1_graph, cfg, noise)
     assert tr.rounds == rows + 20 and tr.saturation_count[-1] > 0
     _assert_trace_matches(tr, ref, "robust")
+
+
+# ---------------------------------------------------------------------------
+# the robust codec against a per-round codec loop
+# ---------------------------------------------------------------------------
+
+def _per_round_codec(p, g, cfg, noise):
+    """The robust kernel's rounds from a codec loop that keeps b and xhat
+    apart, gathers with ``sq[send]``, draws b's and then xhat's round-off
+    noise in two ``uniform`` calls per round and takes the drift per round.
+    Yields (k, x, b, xhat, q, peaks, drift); q is int64, drift nan at 0."""
+    n, m, K = p.n_nodes, p.dim, cfg.K
+    recv, send = g.arcs
+    heard_by = per_receiver_sum(recv, n, m)
+    degc = g.degrees()[:, None]
+    x = np.random.default_rng(cfg.seed).uniform(-cfg.cx, cfg.cx, (n, m))
+    b, xhat = np.zeros((n, m)), np.zeros((len(send), m))
+    rng, d, amp = np.random.default_rng(noise.seed), noise.damping, None
+    if noise.init_errors_enabled:
+        b = rng.uniform(*noise.init_error_range, size=b.shape)
+        xhat = rng.uniform(*noise.init_error_range, size=xhat.shape)
+    if noise.roundoff_enabled:
+        amp = noise.roundoff_amp
+    yield 0, x, b, xhat, None, None, float("nan")
+    for k in range(1, cfg.max_rounds + 1):
+        grad = (np.einsum("ij,ij->i", p.H, x) - p.z)[:, None] * p.H
+        s_prev = cfg.s0 * cfg.alpha ** (k - 1)
+        x = x + cfg.h * ((heard_by(xhat) - degc * b) - grad)
+        v = (x - b) / s_prev
+        peaks = np.abs(v).max(axis=1)
+        assert np.isfinite(peaks).all()
+        if cfg.strict_saturation and (peaks > K + 0.5).any():
+            raise SaturationError(k)
+        q = np.copysign(np.minimum(np.ceil(np.abs(v) - 0.5), K),
+                        v).astype(np.int64)
+        sq = s_prev * q
+        b = sq + d * b
+        xhat = sq[send] + d * xhat
+        if amp is not None:
+            b = b + rng.uniform(-amp, amp, size=b.shape)
+            xhat = xhat + rng.uniform(-amp, amp, size=xhat.shape)
+        yield k, x, b, xhat, q, peaks, float(np.abs(xhat - b[send]).max())
+
+
+def _assert_codec_matches(p, g, cfg, noise):
+    ref = list(_per_round_codec(p, g, cfg, noise))
+    for st, (k, x, b, xhat, q, peaks, _) in zip(
+            iter_rounds(p, g, cfg, noise), ref, strict=True):
+        assert st.k == k and np.array_equal(st.x, x)
+        assert np.array_equal(st.b, b) and np.array_equal(st.xhat, xhat)
+        assert (st.q is None if q is None else np.array_equal(st.q, q))
+        assert (st.peaks is None if peaks is None
+                else np.array_equal(st.peaks, peaks))
+    y = classify(p).solution
+    tr = run_robust(p, g, cfg, noise)
+    _, xs, _, _, _, pk, drift = zip(*ref)
+    sat = np.cumsum([0] + [int((pk_k > cfg.K + 0.5).sum())
+                           for pk_k in pk[1:]])
+    assert np.array_equal(tr.drift, drift, equal_nan=True)
+    assert np.array_equal(tr.err2, [np.linalg.norm(x - y) for x in xs])
+    assert np.array_equal(tr.max_quant_input,
+                          [np.nan] + [pk_k.max() for pk_k in pk[1:]],
+                          equal_nan=True)
+    assert np.array_equal(tr.saturation_count, sat)
+    assert np.array_equal(tr.x_final, xs[-1])
+
+
+@pytest.mark.parametrize("damping", [0.95, 1.0])
+@pytest.mark.parametrize("init_errors", [False, True], ids=["i0", "i1"])
+def test_robust_codec_matches_per_round_codec_fig1(ex1_problem, fig1_graph,
+                                                   damping, init_errors):
+    # 5000 rounds: two full noise blocks of 2184 rounds and a partial one
+    c = CONSTANTS["robustness"]
+    cfg = ExactConfig(h=c["h"], alpha=c["alpha"], s0=c["s0"], K=c["K"],
+                      max_rounds=5000, stop_tol=0.0, cx=1.0, seed=3)
+    noise = NoiseModel(damping=damping,
+                       init_error_range=(c["init_lo"], c["init_hi"]),
+                       roundoff_amp=c["roundoff"], seed=11,
+                       init_errors_enabled=init_errors, roundoff_enabled=True)
+    _assert_codec_matches(ex1_problem, fig1_graph, cfg, noise)
+
+
+def test_robust_codec_matches_per_round_codec_cycle200():
+    # 600 codec rows of m = 3: noise blocks of 36 rounds
+    g = generate_graph("cycle", 200)
+    p = random_problem(200, 3, "exact", seed=6)
+    fd_min, fd_max = stacked_extremes(p, build_laplacian(g))
+    h = 1.9 / (fd_min + fd_max)
+    cfg = ExactConfig(h=h, alpha=1.0 - 0.5 * h * fd_min, s0=1.0, K=100,
+                      max_rounds=100, stop_tol=0.0, cx=1.0, seed=8)
+    noise = NoiseModel(damping=0.95, init_error_range=(0.0, 0.5),
+                       roundoff_amp=1e-4, seed=9, init_errors_enabled=True,
+                       roundoff_enabled=True)
+    with pytest.warns(RuntimeWarning):     # outside Xi(K) at K = 100
+        _assert_codec_matches(p, g, cfg, noise)
+
+
+def test_robust_strict_saturation_raises_mid_block(ex1_problem, fig1_graph):
+    # round-off outgrows the shrinking scale: the first saturation falls
+    # inside the third noise block of 2184 rounds
+    c = CONSTANTS["robustness"]
+    cfg = ExactConfig(h=c["h"], alpha=c["alpha"], s0=c["s0"], K=c["K"],
+                      max_rounds=8000, stop_tol=0.0, strict_saturation=True,
+                      cx=1.0, seed=3)
+    noise = NoiseModel(damping=c["damping"], roundoff_amp=c["roundoff"],
+                       seed=11, roundoff_enabled=True)
+    with pytest.raises(SaturationError) as ref:
+        list(_per_round_codec(ex1_problem, fig1_graph, cfg, noise))
+    codec_rows = ex1_problem.n_nodes + len(fig1_graph.arcs[1])
+    block = solver._BLOCK_ENTRIES // (codec_rows * ex1_problem.dim)
+    assert ref.value.round_index > 2 * block
+    assert (ref.value.round_index - 1) % block > 0
+    with pytest.raises(SaturationError) as exc:
+        run_robust(ex1_problem, fig1_graph, cfg, noise)
+    assert exc.value.round_index == ref.value.round_index
 
 
 @given(alpha=st.floats(0.05, 0.99999), k_max=st.integers(0, 400))
