@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: plan, solve, oracle-check, alpha-star, reproduce, sweep.
+Subcommands: plan, solve, oracle-check, reproduce, sweep.
 Exit codes: 0 success, 1 check/acceptance failure, 2 usage error.
 """
 
@@ -23,16 +23,26 @@ from .problem import LinearProblem, build_stacked, load_problem, theta_n
 from .solver import LSConfig, _setup, iter_rounds
 
 
+def _load_named(spec: str, builtins, build, load, kinds=()):
+    """The built-in ``spec``, else the file; errors name ``kinds`` too."""
+    if spec in builtins:
+        return build(spec)
+    try:
+        return load(spec)
+    except FileNotFoundError:
+        raise ValueError(f"{spec!r} is neither a file nor a known name "
+                         f"({', '.join([*kinds, *builtins])})") from None
+
+
 def _load_named_problem(spec: str) -> LinearProblem:
-    if spec in _BUILTIN_PROBLEMS:
-        return builtin_problem(spec)
-    return load_problem(spec)
+    return _load_named(spec, _BUILTIN_PROBLEMS, builtin_problem, load_problem)
 
 
-def _load_named_graph(spec: str) -> Graph:
-    if spec in _BUILTIN_GRAPHS:
-        return builtin_graph(spec)
-    return load_graph(spec)
+def _load_named_graph(spec: str, kinds=(), n=0, p=0.5, seed=0) -> Graph:
+    """A graph of one of ``kinds`` on ``n`` nodes, a built-in or a file."""
+    if spec in kinds:
+        return generate_graph(spec, n, p, seed)
+    return _load_named(spec, _BUILTIN_GRAPHS, builtin_graph, load_graph, kinds)
 
 
 def _cmd_plan(args) -> int:
@@ -148,8 +158,21 @@ def _oracle_deviation(p: LinearProblem, g: Graph, cfg) -> float:
     return dev
 
 
-def _cmd_alpha_star(args) -> int:
-    er = args.graph == "erdos_renyi"
+def _cmd_reproduce(args) -> int:
+    arts = reproduce(args.example_id, out_dir=args.out)
+    for name, passed, detail in arts.checks:
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}"
+              + (f" ({detail})" if detail else ""))
+    for key, val in arts.summary.items():
+        print(f"{key} = {val}")
+    for path in arts.trace_paths:
+        print(f"# wrote {path}")
+    return 0 if arts.ok else 1
+
+
+def _cmd_sweep(args) -> int:
+    entries = [entry.strip() for entry in args.graph_kinds.split(",")]
+    er = "erdos_renyi" in entries
     if args.p is not None and not er:
         raise ValueError("--p applies to erdos_renyi graphs only")
     if args.problem:
@@ -164,48 +187,15 @@ def _cmd_alpha_star(args) -> int:
         p = random_problem(100 if args.n is None else args.n,
                            5 if args.m is None else args.m, "exact",
                            args.seed or 0)
-    if args.graph in GRAPH_KINDS:
-        g = generate_graph(args.graph, p.n_nodes,
-                           0.5 if args.p is None else args.p, args.seed or 0)
-    else:
-        g = _load_named_graph(args.graph)
-    sp = build_stacked(p, build_laplacian(g))
-    theta = theta_n(sp, sp.lap, sp.m, sp.n)
-    print(f"theta_n = {theta:.17g}")
-    for K in args.K:
-        a = alpha_star(K, sp)
-        print(f"alpha_star K={K} = {a:.17g} exp(-K*theta) = "
-              f"{np.exp(-K * theta):.17g}")
-    return 0
-
-
-def _cmd_reproduce(args) -> int:
-    arts = reproduce(args.example_id, out_dir=args.out)
-    for name, passed, detail in arts.checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}"
-              + (f" ({detail})" if detail else ""))
-    for key, val in arts.summary.items():
-        print(f"{key} = {val}")
-    for path in arts.trace_paths:
-        print(f"# wrote {path}")
-    return 0 if arts.ok else 1
-
-
-def _cmd_sweep(args) -> int:
-    kinds = [kind.strip() for kind in args.graph_kinds.split(",")]
-    if args.p is not None and "erdos_renyi" not in kinds:
-        raise ValueError("--p applies to erdos_renyi graphs only")
-    p = random_problem(args.n, args.m, "exact", args.seed or 0)
-    rows = []
-    for kind in kinds:
-        g = generate_graph(kind, args.n,
-                           0.5 if args.p is None else args.p, args.seed or 0)
+    lines = ["graph,K,theta_n,alpha_star"]
+    for entry in entries:
+        g = _load_named_graph(entry, GRAPH_KINDS, p.n_nodes,
+                              0.5 if args.p is None else args.p,
+                              args.seed or 0)
         sp = build_stacked(p, build_laplacian(g))
         theta = theta_n(sp, sp.lap, sp.m, sp.n)
-        for K in args.K:
-            rows.append((kind, K, theta, alpha_star(K, sp)))
-    lines = ["graph,K,theta_n,alpha_star"]
-    lines += [f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g}" for r in rows]
+        lines += [f"{entry},{K},{theta:.17g},{alpha_star(K, sp):.17g}"
+                  for K in args.K]
     print("\n".join(lines))
     if args.out:
         _write_output(args.out, "sweep.csv", "\n".join(lines) + "\n")
@@ -250,36 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rounds", type=int, default=None)
     sp.set_defaults(func=_cmd_oracle_check)
 
-    sp = sub.add_parser("alpha-star",
-                        help="minimal scale-decay factor per alphabet size")
-    sp.add_argument("--K", type=int, nargs="+", required=True)
-    sp.add_argument("--problem", default=None)
-    sp.add_argument("--graph", default="cycle")
-    sp.add_argument("--n", type=int, default=None,
-                    help="random problem only (default 100)")
-    sp.add_argument("--m", type=int, default=None,
-                    help="random problem only (default 5)")
-    sp.add_argument("--p", type=float, default=None,
-                    help="erdos_renyi only (default 0.5)")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=_cmd_alpha_star)
-
     sp = sub.add_parser("reproduce", help="re-run a published experiment")
     sp.add_argument("example_id", choices=list(_REPRODUCERS))
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_reproduce)
 
-    sp = sub.add_parser("sweep",
-                        help="graph-family x alphabet grid of "
-                             "theta_n / alpha_star")
-    sp.add_argument("--graph-kinds", default="cycle,star,complete")
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--m", type=int, default=5)
-    sp.add_argument("--p", type=float, default=None,
-                    help="erdos_renyi only (default 0.5)")
+    sp = sub.add_parser("sweep", help="theta_n and alpha_star per graph and K")
+    sp.add_argument("--graph-kinds", default="cycle,star,complete",
+                    help="generated kinds, built-in graphs or graph files")
+    sp.add_argument("--problem", help="file or ex1/ex4 (default: random)")
+    sp.add_argument("--n", type=int, help="random problem only (default 100)")
+    sp.add_argument("--m", type=int, help="random problem only (default 5)")
+    sp.add_argument("--p", type=float, help="erdos_renyi only (default 0.5)")
     sp.add_argument("--K", type=int, nargs="+", required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_sweep)
     return ap
 
@@ -292,7 +267,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -236,6 +236,8 @@ def alpha_star(K: int, sp: StackedOperators) -> float:
     taken just inside its upper limit (0.999 h*); the reported value carries
     the grid resolution as its accuracy.
     """
+    if K < 1:
+        raise ValueError("K must be at least 1")
     eps_grid = np.arange(_ALPHA_STAR_EPS_STEP, 1.0, _ALPHA_STAR_EPS_STEP)
     best = None
     for eps in eps_grid:

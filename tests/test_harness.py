@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from quantnet.harness import (_REPRODUCERS, _SCHEMA, CONSTANTS, builtin_graph,
                               reproduce, run_config, serialize_config)
 from quantnet.graph import build_laplacian, generate_graph, save_graph
 from quantnet.planner import alpha_star
-from quantnet.problem import build_stacked, classify, save_problem
+from quantnet.problem import build_stacked, classify, save_problem, theta_n
 from quantnet.solver import ExactConfig, run_exact
 
 EXACT_CFG = """
@@ -485,24 +487,45 @@ def test_cli_plan_and_alpha_star(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "membership = True" in out
     assert (tmp_path / "plan.csv").exists()
-    assert main(["alpha-star", "--K", "100", "--problem", "ex1",
-                 "--graph", "fig1"]) == 0
-    out = capsys.readouterr().out
-    assert "theta_n" in out and "alpha_star K=100" in out
+    # sweep takes a named problem and a built-in graph
+    assert main(["sweep", "--K", "100", "--problem", "ex1",
+                 "--graph-kinds", "fig1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sp = build_stacked(builtin_problem("ex1"),
+                       build_laplacian(builtin_graph()))
+    assert lines[1:] == [f"fig1,100,{theta_n(sp, sp.lap, sp.m, sp.n):.17g},"
+                         f"{alpha_star(100, sp):.17g}"]
 
 
 def test_cli_alpha_star_on_erdos_renyi(capsys):
-    # the graph kinds are sweep's: --p sets the edge probability and
-    # --seed the graph's seed, also beside a named problem
-    assert main(["alpha-star", "--K", "10", "--graph", "erdos_renyi",
+    # --p sets the edge probability and --seed the graph's seed, also
+    # beside a named problem, whose node count the graph takes
+    assert main(["sweep", "--K", "10", "--graph-kinds", "erdos_renyi",
                  "--n", "30", "--p", "0.3", "--seed", "2"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     p = random_problem(30, 5, "exact", 2)
     g = generate_graph("erdos_renyi", 30, 0.3, 2)
     sp = build_stacked(p, build_laplacian(g))
-    assert line.startswith(f"alpha_star K=10 = {alpha_star(10, sp):.17g} ")
-    assert main(["alpha-star", "--K", "10", "--graph", "erdos_renyi",
+    assert line.endswith(f",{alpha_star(10, sp):.17g}")
+    assert main(["sweep", "--K", "10", "--graph-kinds", "erdos_renyi",
                  "--problem", "ex1", "--seed", "3"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    p = builtin_problem("ex1")
+    sp = build_stacked(p, build_laplacian(generate_graph(
+        "erdos_renyi", p.n_nodes, 0.5, 3)))
+    assert line.endswith(f",{alpha_star(10, sp):.17g}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--K", "10", "--n", "6", "--m", "2", "--out", "{file}"],
+    ["solve", "{dir}"],
+], ids=["sweep_out_is_a_file", "solve_a_directory"])
+def test_cli_os_error_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "afile").write_text("")
+    argv = [a.format(file=tmp_path / "afile", dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_oracle_check(tmp_path):
@@ -542,6 +565,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
+SHARED_FLAGS = {"--seed", "--out", "--strict-saturation", "--max-rounds",
+                "--tol"}
+
+
+def test_readme_cli_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n")[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        name, flags = line.strip("|").split("|")
+        rows[name.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)`",
+                                                       flags))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert rows == {name: SHARED_FLAGS & {opt for a in parser._actions
+                                          for opt in a.option_strings}
+                    for name, parser in sub.choices.items()}
+
+
 def test_cli_reproduce_ids_are_the_harness_reproducers():
     parser = cli.build_parser()
     for example_id in _REPRODUCERS:
@@ -575,6 +619,13 @@ def test_problem_and_graph_files_match_the_builtins(tmp_path, capsys):
         assert main(["plan", "exact", "--K", "300", *argv]) == 0
         plans.append(capsys.readouterr().out)
     assert plans[0] == plans[1]
+    rows = []
+    for problem in ("ex1", str(prob)):
+        assert main(["sweep", "--K", "100", "--problem", problem,
+                     "--graph-kinds", f"fig1,{graph}"]) == 0
+        rows += [ln.split(",", 1)[1]
+                 for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4 and len(set(rows)) == 1
 
 
 def test_cli_solve_overrides(tmp_path):
@@ -592,7 +643,7 @@ def test_cli_rejects_flags_a_command_ignores():
     assert main(["reproduce", "ex2", "--max-rounds", "1"]) == 2
 
 
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, message", [
     (["plan", "ls", "--K", "300", "--problem", "ex4", "--cw", "99"], "--cw"),
     (["plan", "exact", "--K", "300", "--problem", "ex1", "--delta", "0.6"],
      "--delta"),
@@ -601,21 +652,29 @@ def test_cli_rejects_flags_a_command_ignores():
     (["plan", "exact", "--K", "300", "--problem", "ex1", "--cw", "1"],
      "--cw"),
     (["sweep", "--graph-kinds", "cycle", "--p", "0.9", "--K", "10"], "--p"),
-    (["alpha-star", "--K", "10", "--problem", "ex1", "--n", "77", "--m", "9",
-      "--seed", "4"], "--n"),
-    (["alpha-star", "--K", "10", "--graph", "cycle", "--p", "0.3"], "--p"),
+    (["sweep", "--K", "10", "--problem", "ex1", "--n", "77", "--m", "9",
+      "--seed", "4"], "--n, --m, --seed"),
+    (["sweep", "--K", "10", "--problem", "ex1", "--graph-kinds", "fig1",
+      "--p", "0.3"], "--p"),
     (["solve", "{baseline}", "--strict-saturation"], "--strict-saturation"),
+    (["plan", "exact", "--K", "300", "--problem", "ex1", "--graph", "cycle"],
+     "'cycle' is neither a file nor a known name (fig1)"),
+    (["sweep", "--K", "10", "--graph-kinds", "foo,cycle"],
+     "'foo' is neither a file nor a known name (cycle, star, complete, "
+     "erdos_renyi, fig1)"),
+    (["sweep", "--K", "0", "--graph-kinds", "cycle", "--n", "6", "--m", "2"],
+     "K must be at least 1"),
 ], ids=["plan_ls_cw", "plan_exact_delta", "plan_exact_cx_alone",
         "plan_exact_cw_alone", "sweep_p", "alpha_star_random_sizes",
-        "alpha_star_p",
-        "solve_baseline_strict"])
+        "alpha_star_p", "solve_baseline_strict", "plan_generated_graph",
+        "sweep_unknown_entry", "sweep_k_0"])
 def test_cli_flag_the_command_would_ignore_is_a_usage_error(
-        tmp_path, capsys, argv, flag):
+        tmp_path, capsys, argv, message):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(BASELINE_CFG)
     argv = [a.replace("{baseline}", str(cfg_path)) for a in argv]
     assert main(argv) == 2
-    assert flag in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 

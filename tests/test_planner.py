@@ -132,6 +132,13 @@ def test_alpha_star_properties(ex1_setting):
         assert a < 1.0 - 1e-5
 
 
+@pytest.mark.parametrize("K", [0, -3])
+def test_alpha_star_rejects_k_below_1(ex1_setting, K):
+    _, _, _, _, sp = ex1_setting
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        alpha_star(K, sp)
+
+
 def test_m_prime_limits(ex4_setting):
     _, _, _, _, sp = ex4_setting
     h, beta0 = 0.02, 1.001
