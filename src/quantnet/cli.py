@@ -187,11 +187,13 @@ def _cmd_sweep(args) -> int:
         p = random_problem(100 if args.n is None else args.n,
                            5 if args.m is None else args.m, "exact",
                            args.seed or 0)
+    # every entry is resolved before any is computed, so a bad one fails
+    # at once
+    graphs = [_load_named_graph(entry, GRAPH_KINDS, p.n_nodes,
+                                0.5 if args.p is None else args.p,
+                                args.seed or 0) for entry in entries]
     lines = ["graph,K,theta_n,alpha_star"]
-    for entry in entries:
-        g = _load_named_graph(entry, GRAPH_KINDS, p.n_nodes,
-                              0.5 if args.p is None else args.p,
-                              args.seed or 0)
+    for entry, g in zip(entries, graphs):
         sp = build_stacked(p, build_laplacian(g))
         theta = theta_n(sp, sp.lap, sp.m, sp.n)
         lines += [f"{entry},{K},{theta:.17g},{alpha_star(K, sp):.17g}"

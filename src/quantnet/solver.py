@@ -55,7 +55,9 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   and symbol buffers are smaller):
   ``err_inf_per_node``, ``max_quant_input``, ``saturation_count``,
   ``bits_cum_nonzero`` and, with noise, ``drift``, max |xhat_ij - b_j|
-  (nan at round 0);
+  (nan at round 0). ``bits_cum_nonzero`` counts a block's nonzero
+  symbols as one int64 product, (symbols != 0) of shape (rounds, N m)
+  times the degrees repeated m times, which is exact;
 * after the run: ``k``, ``bits_cum`` = k times the bits of one round,
   ``bound_Bk`` from one ``bound_B`` call on all rounds, and
   ``ratio_err_gamma``, whose gamma(k) is a scalar pow per round
@@ -63,6 +65,21 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   ``GammaSchedule.gamma`` of all rounds at once differs from the
   per-round values in the last bit on about 5% of rounds, and the
   kernel's LS scale s_r gamma(k-1) is a per-round value too.
+
+Every max over a short last axis goes through
+:func:`~quantnet.codec.max_last_axis`: the quantizer peaks of x(k) per
+node, ``err_inf_per_node`` over the m coordinates, ``max_quant_input``
+over the N peaks, and the LS ratio's max over N. numpy's reduce over the
+last axis runs one inner loop per row, which dominates at m = 3 (40 us
+on a 1000 x 3 array, against 3 us for two whole-column ``np.maximum``
+calls). So the max goes column by column once the rows reach 8 times
+the axis length, and reduces over the axis below that, where the m - 1
+calls cost more. On the 5-node fig1 graph with m = 2, each round's
+quantizer peaks reduce over the axis, and a block's ``err_inf_per_node``
+and ``max_quant_input`` go column by column. Max is exact, so both ways
+give the same bits. Sums are not split this way (the gradient's per-node
+dot product, the per-receiver consensus sums): reordering a sum changes
+its bits.
 
 Run set-up: ``_setup`` is the one place that decides which systems a run
 accepts. Every ``run_*`` and ``quantnet oracle-check`` start from it, so
@@ -91,7 +108,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import NoiseModel, QuantizerSpec, quantize_vec
+from .codec import NoiseModel, QuantizerSpec, max_last_axis, quantize_vec
 from .graph import Graph, build_laplacian, per_receiver_sum
 from .oracle import unquantized_step
 from .planner import GammaSchedule, bound_B, xi_ls_membership, xi_membership
@@ -322,7 +339,9 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
     ls = isinstance(cfg, LSConfig)
     damped = damping != 1.0
     H, z, h, K = p.H, p.z, cfg.h, cfg.K
-    degc = g.degrees()[:, None]
+    # the degrees as a full (N, m) operand: the same products as an (N, 1)
+    # column broadcast over m, which costs more per call
+    deg = np.repeat(g.degrees()[:, None].astype(float), m, axis=1)
     if ls:
         gamma, s_r = cfg.gamma.gamma, cfg.s_r
     if roundoff:
@@ -339,10 +358,10 @@ def iter_rounds(p: LinearProblem, g: Graph, cfg,
         if ls:
             gain = gamma(k - 1)
             s_prev = s_r * gain
-            x = x + ((heard - degc * b) - grad * gain) * h
+            x = x + ((heard - deg * b) - grad * gain) * h
         else:
             s_prev = cfg.s0 * cfg.alpha ** (k - 1)
-            x = x + ((heard - degc * b) - grad) * h
+            x = x + ((heard - deg * b) - grad) * h
 
         # transmission of round k: encode x(k) at scale s(k-1)
         q, peaks = quantize_vec((x - b) / s_prev, K)
@@ -411,8 +430,9 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
         rounds, K = iter_rounds(p, g, cfg, noise), cfg.K
         bits_per_coord = QuantizerSpec(K).bits_per_coord
     bits_fixed_per_round = int(2 * len(g.edges) * m * bits_per_coord)
-    # symbols sent per nonzero level: one per arc out of the node, its degree
-    fanout = g.degrees()
+    # symbols sent per nonzero level: one per arc out of the node, its
+    # degree, repeated for each of the node's m coordinates
+    fanout = np.repeat(g.degrees(), m)
 
     # Per round only err2 (the stop test reads it) is computed; x, the
     # peaks, the symbols and, with noise, the codec states go into block
@@ -432,11 +452,11 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
 
     def reduce_block(used: int) -> None:
         pk = pks[:used]
-        cols["einf"].append(np.maximum.reduce(np.abs(xs[:used] - y_ref),
-                                              axis=2))
-        cols["maxin"].append(np.maximum.reduce(pk, axis=1))
+        cols["einf"].append(max_last_axis(np.abs(xs[:used] - y_ref)))
+        cols["maxin"].append(max_last_axis(pk))
         cols["sat"].append(np.count_nonzero(pk > K + 0.5, axis=1))
-        cols["nz"].append(np.count_nonzero(qs[:used], axis=2) @ fanout)
+        # exact in int64, as count_nonzero(axis=2) @ degrees is
+        cols["nz"].append((qs[:used] != 0).reshape(used, n * m) @ fanout)
         if noise is not None:
             cols["drift"].append(np.maximum.reduce(np.abs(
                 xhs[:used] - bs[:used].take(send, axis=1)), axis=(1, 2)))
@@ -472,7 +492,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     ratio = None
     if mode == "ls":
         gamma = np.array([cfg.gamma.gamma(k) for k in range(len(ks))])
-        ratio = np.maximum.reduce(einf, axis=1) / gamma
+        ratio = max_last_axis(einf) / gamma
     nz_cum = np.cumsum(np.concatenate(cols["nz"]))
     drift = None
     if noise is not None:

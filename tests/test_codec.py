@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantnet.codec import NoiseModel, QuantizerSpec, quantize, quantize_vec
@@ -58,6 +58,33 @@ def test_quantize_vec_levels_and_peaks(vals, K):
     assert np.array_equal(q, np.sign(v) * np.minimum(np.maximum(mag, 0), K))
     assert np.array_equal(peaks, np.abs(v).max(axis=1))
     assert np.array_equal(peaks > K + 0.5, (mag > K).any(axis=1))
+
+
+@given(n=st.integers(1, 300), m=st.integers(1, 12), K=st.integers(1, 20),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+@example(n=300, m=3, K=5, seed=1)       # column by column
+@example(n=11, m=10, K=5, seed=1)       # over the axis
+def test_quantize_vec_keeps_its_bits_on_both_sides_of_the_shape_rule(
+        n, m, K, seed):
+    # the peaks go column by column from N >= 8 m on and reduce over the
+    # axis below; either way they carry the bits of the reduce, and the
+    # levels those of copysign(min(ceil(|v| - 1/2), K), v)
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-3 * K, 3 * K, size=(n, m))
+    ties = rng.random((n, m)) < 0.2          # level edges, and -0.0
+    v[ties] = rng.integers(-K - 2, K + 2, size=ties.sum()) + 0.5
+    v[rng.random((n, m)) < 0.05] = -0.0
+    q, peaks = quantize_vec(v, K)
+    want = np.maximum.reduce(np.abs(v), axis=-1, initial=0.0)
+    assert peaks.shape == (n,) and peaks.tobytes() == want.tobytes()
+    levels = np.copysign(np.minimum(np.ceil(np.abs(v) - 0.5), K), v)
+    assert q.tobytes() == levels.tobytes()
+    bad = v.copy()
+    bad[rng.integers(n), rng.integers(m)] = rng.choice(
+        [np.nan, np.inf, -np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        quantize_vec(bad, K)
 
 
 @given(st.floats(-1e6, 1e6), st.integers(1, 50))

@@ -565,6 +565,21 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_cli_sweep_resolves_every_entry_before_computing(monkeypatch,
+                                                         capsys):
+    # an unknown entry after a valid one exits 2 before any theta_N or
+    # alpha* is computed
+    def computed(*args):
+        raise AssertionError("sweep computed before resolving its entries")
+
+    monkeypatch.setattr(cli, "alpha_star", computed)
+    monkeypatch.setattr(cli, "theta_n", computed)
+    assert main(["sweep", "--K", "10", "--graph-kinds", "cycle,foo"]) == 2
+    captured = capsys.readouterr()
+    assert "'foo' is neither a file nor a known name" in captured.err
+    assert captured.out == ""
+
+
 SHARED_FLAGS = {"--seed", "--out", "--strict-saturation", "--max-rounds",
                 "--tol"}
 

@@ -331,8 +331,10 @@ def _gamma_ref(sched, k):
 def _reference_trace(p, g, cfg, mode, noise=None):
     """The trace columns recorded round by round from the kernel's states,
     with per-round formulas: np.linalg.norm, scalar bound_B(k), a numpy
-    0-d gamma(k) and count_nonzero(q.take(send)). Returns the columns
-    and the round index of a SaturationError, or None."""
+    0-d gamma(k), count_nonzero(q.take(send)), and max(axis=1) over the
+    last axis, also for the quantizer peaks, which are recomputed from the
+    kernel's input (x(k) - b(k-1)) / s(k-1). Returns the columns and the
+    round index of a SaturationError, or None."""
     lap = build_laplacian(g)
     fd_min = stacked_extremes(p, lap)[0]
     sp = build_stacked(p, lap)
@@ -354,8 +356,12 @@ def _reference_trace(p, g, cfg, mode, noise=None):
             einf = np.abs(diff).max(axis=1)
             peak = float("nan")
             if k > 0:
-                peak = float(st.peaks.max())
-                sat += int((st.peaks > K + 0.5).sum())
+                s_prev = (cfg.s_r * cfg.gamma.gamma(k - 1) if mode == "ls"
+                          else cfg.s0 * cfg.alpha ** (k - 1))
+                peaks = np.abs((st.x - b_prev) / s_prev).max(axis=1)
+                assert np.array_equal(st.peaks, peaks)
+                peak = float(peaks.max())
+                sat += int((peaks > K + 0.5).sum())
                 bits += 2 * len(g.edges) * m * bpc
                 nz += bpc * int(np.count_nonzero(st.q.take(send, axis=0)))
             for key, val in (("err2", e2), ("einf", einf), ("maxin", peak),
@@ -369,6 +375,7 @@ def _reference_trace(p, g, cfg, mode, noise=None):
                                            / _gamma_ref(cfg.gamma, k)))
             cols["drift"].append(float("nan") if k == 0 else float(
                 np.abs(st.xhat - st.b[g.arcs[1]]).max()))
+            b_prev = st.b
             if k > 0 and e2 < cfg.stop_tol:
                 stop_reason = "error_tolerance"
                 break
@@ -448,6 +455,16 @@ def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
     if n <= m:
         n = m + 1
     g = _random_connected_graph(n, extra, seed)
+    _check_against_reference(g, m, seed, mode, K, gain, scale, stop_tol,
+                             strict, max_rounds, block)
+
+
+def _check_against_reference(g, m, seed, mode, K, gain, scale, stop_tol,
+                             strict, max_rounds, block):
+    """A random ``mode`` system on ``g`` at ``gain`` times the optimal
+    gain, recorded in blocks of ``block`` rounds, against
+    :func:`_reference_trace`."""
+    n = g.node_count
     p = random_problem(n, m, "ls" if mode == "ls" else "exact", seed=seed)
     fd_min, fd_max = stacked_extremes(p, build_laplacian(g))
     h = gain * 2.0 / (fd_min + fd_max)
@@ -480,6 +497,27 @@ def test_trace_columns_match_per_round_reference(n, m, extra, seed, mode, K,
             return
         tr = _run_mode(p, g, cfg, mode, noise)
     _assert_trace_matches(tr, ref, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "ls", "robust"])
+@pytest.mark.parametrize("n, m, max_rounds, block", [
+    (200, 1, 30, 12), (200, 3, 30, 12), (200, 10, 30, 12),
+    (5, 1, 120, 50), (5, 3, 120, 50)],
+    ids=["cycle200_m1", "cycle200_m3", "cycle200_m10", "cycle5_m1",
+         "cycle5_m3"])
+def test_trace_columns_on_both_sides_of_the_shape_rule(n, m, max_rounds,
+                                                       block, mode):
+    # codec.max_last_axis goes column by column from 8 m rows on. On the
+    # 200-node cycle the quantizer peaks and err_inf_per_node go column by
+    # column, and max_quant_input and the LS ratio (at most 12 and 31 rows
+    # of N = 200) reduce over the axis. On the 5-node cycle the quantizer
+    # peaks reduce, and err_inf_per_node, the LS ratio (121 rows) and the
+    # max_quant_input of exact and LS blocks (50 rows) go column by column.
+    # Runs span several blocks; a robust block holds a third of the rounds,
+    # as the codec rows (N + 2E) are 3N.
+    _check_against_reference(generate_graph("cycle", n), m, 7, mode, K=5,
+                             gain=0.9, scale=1.0, stop_tol=0.0, strict=False,
+                             max_rounds=max_rounds, block=block)
 
 
 def test_trace_columns_across_a_full_block(ex1_problem, fig1_graph):

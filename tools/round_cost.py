@@ -17,7 +17,18 @@ of one run, with BLAS pinned to one thread. The runs:
 * ``fig1_robust``: the same with damping, initialization errors and
   round-off at the ``robustness`` constants;
 * ``cycle1000_exact``: a random m = 3 system on the 1000-node cycle,
-  planned at K = 100 with cx = 1, 200 rounds.
+  planned at K = 100 with cx = 1, 200 rounds;
+* ``cycle1000_robust``: the same run with the ``robustness`` damping,
+  initialization errors and round-off;
+* ``cycle1000_ls``: the same system in least-squares mode, planned by
+  ``plan_ls`` at K = 100 (delta 0.85) with s_r = ``sr_min``, 200 rounds;
+* ``er100_ex3``: the ex3 system (m = 10) on ER(100, 0.3), planned at
+  K = 100, 500 rounds; its quantizer input has N = 10 m rows, close to
+  the shape rule of ``codec.max_last_axis`` (column by column from 8 m
+  rows on);
+* ``complete11_m10``: a random m = 10 system on the 11-node complete
+  graph, planned at K = 100, 2000 rounds; N < 8 m, so its quantizer peaks
+  reduce over the axis.
 
 Every run has ``stop_tol = 0``, so it runs all its rounds. The script
 holds each run's spectral summary, so a run repeats no spectral set-up and
@@ -42,12 +53,24 @@ sys.path.insert(0, str(SRC.resolve()))
 
 import numpy as np  # noqa: E402
 
-from quantnet import (CONSTANTS, ExactConfig, NoiseModel,  # noqa: E402
-                      build_laplacian, build_stacked, builtin_graph,
-                      builtin_problem, classify, generate_graph, plan_exact,
-                      random_problem, run_exact, run_robust, spectral_data)
+from quantnet import (CONSTANTS, ExactConfig, LinearProblem,  # noqa: E402
+                      LSConfig, NoiseModel, build_laplacian, build_stacked,
+                      builtin_graph, builtin_problem, classify,
+                      generate_graph, plan_exact, plan_ls, random_problem,
+                      run_exact, run_ls, run_robust, spectral_data)
 
 REPEATS = 7
+
+
+def planned(p, g, K, rounds):
+    """(summary, ExactConfig) of a run planned at K with cx = 1."""
+    lap = build_laplacian(g)
+    held = build_stacked(p, lap)
+    plan = plan_exact(K, 0.5, spectral_data(held, lap, p.dim, p.n_nodes),
+                      cx=1.0, cw=float(np.abs(classify(p).solution).max()))
+    return held, ExactConfig(h=plan.h, alpha=plan.alpha, s0=plan.s0_min,
+                             K=K, max_rounds=rounds, stop_tol=0.0, cx=1.0,
+                             seed=2)
 
 
 def cases():
@@ -64,14 +87,28 @@ def cases():
     yield "fig1_robust", held, lambda: run_robust(p, g, cfg, noise)
 
     n, m = 1000, 3
-    p, g = random_problem(n, m, "exact", 1), generate_graph("cycle", n)
-    lap = build_laplacian(g)
-    held = build_stacked(p, lap)
-    plan = plan_exact(100, 0.5, spectral_data(held, lap, m, n), cx=1.0,
-                      cw=float(np.abs(classify(p).solution).max()))
-    cfg = ExactConfig(h=plan.h, alpha=plan.alpha, s0=plan.s0_min, K=100,
+    p1k, g1k = random_problem(n, m, "exact", 1), generate_graph("cycle", n)
+    held1k, cfg1k = planned(p1k, g1k, 100, 200)
+    yield "cycle1000_exact", held1k, lambda: run_exact(p1k, g1k, cfg1k)
+    yield ("cycle1000_robust", held1k,
+           lambda: run_robust(p1k, g1k, cfg1k, noise))
+    plan = plan_ls(100, 0.5, spectral_data(held1k, held1k.lap, m, n),
+                   delta=0.85, cx=1.0)
+    ls_cfg = LSConfig(h=plan.h, K=100, s_r=plan.sr_min, gamma=plan.gamma,
                       max_rounds=200, stop_tol=0.0, cx=1.0, seed=2)
-    yield "cycle1000_exact", held, lambda: run_exact(p, g, cfg)
+    yield "cycle1000_ls", held1k, lambda: run_ls(p1k, g1k, ls_cfg)
+
+    c = CONSTANTS["ex3"]
+    base = random_problem(c["n"], c["m"], "exact", c["seed"])
+    pex3 = LinearProblem(H=c["scale"] * base.H, z=c["scale"] * base.z)
+    ger = generate_graph("erdos_renyi", c["n"], 0.3, seed=c["seed"])
+    held_er, cfg_er = planned(pex3, ger, 100, 500)
+    yield "er100_ex3", held_er, lambda: run_exact(pex3, ger, cfg_er)
+
+    p11, g11 = random_problem(11, 10, "exact", 1), generate_graph("complete",
+                                                                  11)
+    held11, cfg11 = planned(p11, g11, 100, 2000)
+    yield "complete11_m10", held11, lambda: run_exact(p11, g11, cfg11)
 
 
 def main() -> int:
