@@ -8,13 +8,11 @@ since feasibility forces the scale decay alpha close to 1.
 
 from quantnet import (ExactConfig, QuantizerSpec, build_laplacian,
                       build_stacked, builtin_graph, builtin_problem,
-                      plan_exact, run_exact, spectral_data, xi_membership)
+                      plan_exact, run_exact, xi_membership)
 
 p = builtin_problem("ex1")
 g = builtin_graph()
-lap = build_laplacian(g)
-ops = build_stacked(p, lap)
-sp = spectral_data(ops, lap, p.dim, p.n_nodes)
+sp = build_stacked(p, build_laplacian(g))
 
 print("published small-alphabet pairs and their feasibility:")
 for K, alpha, h in ((3, 0.9998, 0.0038), (6, 0.9996, 0.0077),

@@ -9,7 +9,7 @@ decay alpha*_K against the exponential estimate exp(-K * theta_n).
 import math
 
 from quantnet import (alpha_star, build_laplacian, build_stacked,
-                      generate_graph, random_problem, spectral_data, theta_n)
+                      generate_graph, random_problem, theta_n)
 from quantnet.problem import LinearProblem
 
 n, m = 100, 5
@@ -25,9 +25,8 @@ for kind in ("cycle", "star", "complete"):
 
 g = generate_graph("cycle", n)
 lap = build_laplacian(g)
-ops = build_stacked(p, lap)
-sp = spectral_data(ops, lap, m, n)
-theta = theta_n(ops, lap, m, n)
+sp = build_stacked(p, lap)
+theta = theta_n(sp, lap, m, n)
 
 print(f"\ncycle graph sweep (theta_n = {theta:.4e}):")
 print(f"  {'K':>8s} {'alpha*_K':>12s} {'exp(-K theta)':>14s} {'ratio':>8s}")

@@ -217,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--delta", type=float, default=None,
                     help="plan ls only (default 0.85)")
-    sp.add_argument("--cx", type=float, default=None)
-    sp.add_argument("--cw", type=float, default=None)
+    sp.add_argument("--cx", type=float, help="bound on ||x(0)||_inf")
+    sp.add_argument("--cw", type=float,
+                    help="plan exact only: bound on ||x(0) - y*||_inf")
     sp.add_argument("--pick-fraction", type=float, default=0.5)
     sp.add_argument("--problem", required=True,
                     help="problem file, or built-in name ex1/ex4")

@@ -645,7 +645,7 @@ def _reproduce_robustness() -> RunArtifacts:
     med_di = float(np.median(damped_init))
     med_ui = float(np.median(undamped_init))
     checks = [
-        ("damped_roundoff_small_error", med_dr <= 5e-2, f"median {med_dr:.4g}"),
+        ("damped_roundoff_small_error", med_dr <= 1e-2, f"median {med_dr:.4g}"),
         ("undamped_init_much_worse", med_ui >= 10.0 * med_di,
          f"undamped {med_ui:.4g} vs damped {med_di:.4g}"),
     ]

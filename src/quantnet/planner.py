@@ -164,6 +164,12 @@ def s0_lower_bound(alpha: float, h: float, cx: float, cw: float, K: int,
 
     max of (cx + h ||Hd||_inf cw) / (K + 1/2)
     and 2 (alpha - rho_h)(rho_h cw + h cx lambdaN) / (h lambdaN).
+
+    ``cx`` bounds ||x(0)||_inf and ``cw`` ||x(0) - y*||_inf (x(0) drawn in
+    [-cx, cx] takes cw = cx + ||y*||_inf); the first term bounds the first
+    quantizer input, x(1) = x(0) - h Hd (x(0) - y*). With (alpha, h) in
+    Xi(K) and s0 at least this, no symbol saturates and err2(k) <=
+    bound_B(k) for every k >= 1.
     """
     if sp.lambdaN <= 0:
         raise ValueError("isolated network: lambdaN must be positive")
@@ -209,7 +215,9 @@ def plan_exact(K: int, eps: float, sp: StackedOperators,
     """(alpha, h) for a given alphabet from the eps parametrization.
 
     h = pick_fraction * h*; alpha = 1 - (1 - eps) h fd_min. ``member`` is
-    :func:`xi_membership` of the planned pair.
+    :func:`xi_membership` of the planned pair. Given ``cx`` and ``cw``,
+    bounds on ||x(0)||_inf and ||x(0) - y*||_inf, ``s0_min`` is
+    :func:`s0_lower_bound` of the pair.
     """
     if K < 1:
         raise ValueError("K must be at least 1")

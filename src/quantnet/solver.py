@@ -56,8 +56,9 @@ recorder (``tests/test_solver.py`` keeps one as the reference):
   ``err_inf_per_node``, ``max_quant_input``, ``saturation_count``,
   ``bits_cum_nonzero`` and, with noise, ``drift``, max |xhat_ij - b_j|
   (nan at round 0). ``bits_cum_nonzero`` counts a block's nonzero
-  symbols as one int64 product, (symbols != 0) of shape (rounds, N m)
-  times the degrees repeated m times, which is exact;
+  symbols, kept as the kernel's float64 levels (-0.0 != 0 is False), as
+  one int64 product, (symbols != 0) of shape (rounds, N m) times the
+  degrees repeated m times, which is exact;
 * after the run: ``k``, ``bits_cum`` = k times the bits of one round,
   ``bound_Bk`` from one ``bound_B`` call on all rounds, and
   ``ratio_err_gamma``, whose gamma(k) is a scalar pow per round
@@ -132,7 +133,7 @@ __all__ = [
 PRNG_ID = "numpy-pcg64"  # bit generator used for every seeded draw
 STOP_TOL_DEFAULT = 1e-12
 # Entries (rounds x N x m) of one block of states that _run buffers before
-# reducing them to trace columns. x(k) (float64) and the symbols (int64)
+# reducing them to trace columns. x(k) and the symbols (float64 levels)
 # take 0.5 MB each, so a run holds about 1 MB of buffers. With noise, a
 # block holds this many codec-state entries (rounds x (N + 2E) x m), and
 # the kernel draws round-off noise for as many rounds at once.
@@ -444,7 +445,7 @@ def _run(p: LinearProblem, g: Graph, cfg, mode: str,
     xs = np.empty((rows, n, m))
     # rounds that send no symbols (round 0, the baseline) keep nan and 0
     pks = np.full((rows, n), np.nan)
-    qs = np.zeros((rows, n, m), dtype=np.int64)
+    qs = np.zeros((rows, n, m))
     cols = {"einf": [], "maxin": [], "sat": [], "nz": [], "drift": []}
     if noise is not None:
         bs = np.empty((rows, n, m))

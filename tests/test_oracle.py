@@ -109,8 +109,9 @@ def test_compact_ls_matches_solver_on_random_systems(n, m, edge_p, seed, K,
 @settings(max_examples=40, deadline=None)
 def test_compact_exact_matches_solver_on_random_systems(n, m, edge_p, seed,
                                                         K, eps):
-    # parameters from the exact planner, with the smallest initial scale
-    # that rules out saturation for x(0) drawn in [-1, 1]
+    # parameters from the exact planner. s0_min takes cw = ||y*||_inf, below
+    # the cx + ||y*||_inf that bounds ||x(0) - y*||_inf for x(0) drawn in
+    # [-1, 1]: the comparison needs no guarantee
     assume(m < n)
     p = random_problem(n, m, "exact", seed=seed)
     g = generate_graph("erdos_renyi", n, edge_p, seed=seed)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quantnet import solver
@@ -148,6 +148,8 @@ def test_ls_outside_the_set_warns():
 def test_planned_runs_raise_no_warning(ex1_setting, ex4_setting, K):
     p1, g, _, _, sp1 = ex1_setting
     p4, sp4 = ex4_setting[0], ex4_setting[4]
+    # cw = ||y*||_inf, not the guarantee's cx + ||y*||_inf: only the
+    # warning is checked
     exact = plan_exact(K, 0.5, sp1, cx=1.0,
                        cw=float(np.abs(classify(p1).solution).max()))
     ls = plan_ls(K, 0.5, sp4, delta=0.85, cx=1.0)
@@ -158,6 +160,25 @@ def test_planned_runs_raise_no_warning(ex1_setting, ex4_setting, K):
                                      cx=1.0))
         run_ls(p4, g, LSConfig(h=ls.h, K=K, s_r=ls.sr_min, gamma=ls.gamma,
                                max_rounds=50, cx=1.0))
+
+
+@given(n=st.integers(3, 8), m=st.integers(1, 3), seed=st.integers(0, 2**16),
+       K=st.sampled_from([2, 10, 100]), eps=st.floats(0.01, 0.99))
+@settings(max_examples=100, deadline=None)
+def test_planned_exact_runs_keep_the_guarantees(n, m, seed, K, eps):
+    # x(0) uniform in [-1, 1], so cx = 1 and cw = cx + ||y*||_inf: with
+    # s0 = s0_min nothing saturates and err2 <= bound_B(k) for k >= 1
+    assume(m < n)
+    p = random_problem(n, m, "exact", seed=seed)
+    g = generate_graph("erdos_renyi", n, 0.6, seed=seed)
+    cw = 1.0 + float(np.abs(classify(p).solution).max())
+    plan = plan_exact(K, eps, build_stacked(p, build_laplacian(g)), cx=1.0,
+                      cw=cw)
+    tr = run_exact(p, g, ExactConfig(h=plan.h, alpha=plan.alpha,
+                                     s0=plan.s0_min, K=K, max_rounds=400,
+                                     cx=1.0, seed=seed))
+    assert int(tr.saturation_count[-1]) == 0
+    assert np.all(tr.err2[1:] <= tr.bound_Bk[1:])
 
 
 def test_gamma_schedule_properties():
@@ -275,7 +296,8 @@ def test_divergence_stops_at_nonfinite_quantizer_input(ex1_setting):
 
 @pytest.fixture(scope="module")
 def cycle_above_dense_size():
-    """A cycle with m*N just above DENSE_MAX_DIM, planned at K = 100."""
+    """A cycle with m*N just above DENSE_MAX_DIM, planned at K = 100 (with
+    cw = ||y*||_inf, not the guarantee's cx + ||y*||_inf)."""
     n, m = DENSE_MAX_DIM // 3 + 1, 3
     p = random_problem(n, m, "exact", seed=8)
     g = generate_graph("cycle", n)
