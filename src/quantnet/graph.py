@@ -149,6 +149,8 @@ LANCZOS_TOL = 1e-12     # relative residual that certifies a Ritz value
 LANCZOS_SEED = 20181    # private start-vector stream; reads no user seed
 _LANCZOS_CHECK = 10     # first Ritz check; then every max(10, k/8) steps
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+_SEMI_ORTH = np.sqrt(_EPS)     # overlap estimate that calls for Gram-Schmidt
 
 
 # The Ritz checks below work on the tridiagonal T_k in O(k) per pass. A
@@ -215,44 +217,79 @@ def lanczos_extremes(apply, dim: int, max_iter: int):
     """(smallest, largest) eigenvalue of a symmetric operator, matrix-free.
 
     ``apply`` maps a vector of length ``dim`` to its product with the
-    operator. Lanczos with full reorthogonalisation (Golub & Van Loan,
-    *Matrix Computations*, ch. 10): each step applies the three-term
-    recurrence, then one Gram-Schmidt pass against the whole basis, and
-    extends the tridiagonal T_k. An end Ritz value theta of T_k, with
-    eigenvector s, is certified once beta_k |s_k| <= LANCZOS_TOL * max
-    |theta|: some eigenvalue lies that close to it. Each check takes the end
-    Ritz values by Sturm bisection and s_k by a twisted factorisation, both
-    O(k) on T_k. Returns the two end Ritz values once both are certified,
-    or None when ``max_iter`` steps give no certificate. The start vector
-    comes from a generator seeded with ``LANCZOS_SEED``, so two calls give
-    the same bits. The basis grows with the step count and never exceeds
-    (max_iter, dim).
+    operator. Lanczos with partial reorthogonalisation (Simon, *Math.
+    Comp.* 42(165), 1984): each step applies the three-term recurrence and
+    extends the tridiagonal T_k. Simon's omega-recurrence, O(k) on the
+    alphas and betas with a round-off term, estimates the overlaps of the
+    new basis vector with the old ones. Only when an estimate exceeds
+    sqrt(eps) does a Gram-Schmidt pass run against the whole basis, at that
+    step and the next, which resets the estimates to round-off. The basis
+    then stays semi-orthogonal (overlaps of order sqrt(eps)), which Simon
+    shows keeps the Ritz values as accurate as full reorthogonalisation
+    does. An
+    end Ritz value theta of T_k, with eigenvector s, is certified once
+    beta_k |s_k| <= LANCZOS_TOL * max |theta|: some eigenvalue lies that
+    close to it. Each check takes the end Ritz values by Sturm bisection
+    and s_k by a twisted factorisation, both O(k) on T_k. Returns the two
+    end Ritz values once both are certified, or None when ``max_iter``
+    steps give no certificate. The start vector comes from a generator
+    seeded with ``LANCZOS_SEED``, so two calls give the same bits. The
+    basis grows with the step count and never exceeds (max_iter, dim).
     """
+    return _lanczos(apply, dim, max_iter)[0]
+
+
+def _lanczos(apply, dim: int, max_iter: int) -> tuple:
+    """:func:`lanczos_extremes`' result, and the basis it built (a view)."""
     q = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     Q = np.empty((min(max_iter, 64), dim))
     Q[0] = q / np.linalg.norm(q)
     alpha = np.empty(max_iter)
     beta = np.empty(max_iter)
     check = _LANCZOS_CHECK
+    # omega[k] estimates Q[j] . Q[k], omega_prev[k] Q[j - 1] . Q[k];
+    # round-off enters at sqrt(dim) eps / 2 per step, as in Larsen's PROPACK
+    omega_prev, omega = np.empty(0), np.ones(1)
+    roundoff = 0.5 * np.sqrt(dim) * _EPS
+    tnorm = 0.0         # Gershgorin bound on |T_k|, a stand-in for |A|
+    again = False       # a Gram-Schmidt pass is due at this step
     for j in range(max_iter):
         w = apply(Q[j])
         alpha[j] = Q[j] @ w
         w -= alpha[j] * Q[j]
         if j:
             w -= beta[j - 1] * Q[j - 1]
-        basis = Q[:j + 1]
-        w -= basis.T @ (basis @ w)
         beta[j] = np.linalg.norm(w)
-        # a tiny beta always certifies, so the division below is safe
+        amax = np.abs(alpha[:j + 1]).max()
+        # a tiny beta always certifies below, so the division is safe
+        if beta[j] > LANCZOS_TOL * amax:
+            tnorm = max(tnorm, abs(alpha[j]) + beta[j] + (j and beta[j - 1]))
+            # Simon's recurrence, k < j: beta_j w_{j+1,k} = beta_k w_{j,k+1}
+            #   + (alpha_k - alpha_j) w_{j,k} + beta_{k-1} w_{j,k-1}
+            #   - beta_{j-1} w_{j-1,k}, plus round-off with the sum's sign
+            s = (alpha[:j] - alpha[j]) * omega[:j] + beta[:j] * omega[1:]
+            if j:
+                s[1:] += beta[:j - 1] * omega[:j - 1]
+                s -= beta[j - 1] * omega_prev
+            s += np.copysign(roundoff * tnorm, s)
+            omega_prev, omega = omega, np.empty(j + 2)
+            omega[:j] = s / beta[j]
+            omega[j:] = roundoff, 1.0
+            if again or (j and np.abs(omega[:j]).max() > _SEMI_ORTH):
+                again = not again
+                basis = Q[:j + 1]
+                w -= basis.T @ (basis @ w)
+                beta[j] = np.linalg.norm(w)
+                omega[:j + 1] = roundoff
         if (j + 1 == check or j + 1 == max_iter
-                or beta[j] <= LANCZOS_TOL * np.abs(alpha[:j + 1]).max()):
+                or beta[j] <= LANCZOS_TOL * amax):
             check += max(_LANCZOS_CHECK, check // 8)
             a, b = alpha[:j + 1], beta[:j]
             lo, hi = _tridiagonal_extremes(a, b)
             cert = LANCZOS_TOL * max(abs(lo), abs(hi))
             if beta[j] * max(_last_component(a, b, lo),
                              _last_component(a, b, hi)) <= cert:
-                return lo, hi
+                return (lo, hi), Q[:j + 1]
         if j + 1 == max_iter:
             break
         if j + 1 == len(Q):
@@ -260,7 +297,7 @@ def lanczos_extremes(apply, dim: int, max_iter: int):
             grown[:len(Q)] = Q
             Q = grown
         Q[j + 1] = w / beta[j]
-    return None
+    return None, Q[:max_iter]
 
 
 # build_laplacian's memo, id(g) -> summary of g. A summary holds its graph,

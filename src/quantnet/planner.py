@@ -217,7 +217,9 @@ def plan_exact(K: int, eps: float, sp: StackedOperators,
     h = pick_fraction * h*; alpha = 1 - (1 - eps) h fd_min. ``member`` is
     :func:`xi_membership` of the planned pair. Given ``cx`` and ``cw``,
     bounds on ||x(0)||_inf and ||x(0) - y*||_inf, ``s0_min`` is
-    :func:`s0_lower_bound` of the pair.
+    :func:`s0_lower_bound` of the pair. Raises ValueError where float64
+    cannot hold the slice: for eps so small that alpha - rho_h = eps h
+    fd_min rounds away, and for eps so close to 1 that alpha rounds to 1.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -226,12 +228,22 @@ def plan_exact(K: int, eps: float, sp: StackedOperators,
     h_star = h_star_exact(K, eps, sp)
     h = pick_fraction * h_star
     alpha = 1.0 - (1.0 - eps) * h * sp.fd_min
+    rho_h = 1.0 - h * sp.fd_min
+    if alpha <= rho_h:
+        raise ValueError(
+            f"eps = {eps!r} is too small: h* scales with eps, so the gap "
+            f"alpha - (1 - h*fd_min) = eps*h*fd_min = "
+            f"{eps * h * sp.fd_min:.3g} rounds away in float64")
+    if alpha >= 1.0:
+        raise ValueError(
+            f"eps = {eps!r} is too close to 1: alpha = 1 - (1 - eps)*h*fd_min "
+            f"rounds to 1 in float64, so the scale never shrinks")
     mval = m_value(alpha, h, sp)
     kmin_raw = kmin_from_m(mval)
     s0_min = None
     if cx is not None and cw is not None:
         s0_min = s0_lower_bound(alpha, h, cx, cw, K, sp)
-    return ExactPlan(h=h, alpha=alpha, rho_h=1.0 - h * sp.fd_min, M=mval,
+    return ExactPlan(h=h, alpha=alpha, rho_h=rho_h, M=mval,
                      Kmin_raw=kmin_raw, Kmin=max(1, kmin_raw), s0_min=s0_min,
                      eps=eps, h_star=h_star, K=K,
                      member=xi_membership(alpha, h, K, sp))

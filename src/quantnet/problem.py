@@ -166,16 +166,22 @@ def classify(p: LinearProblem) -> ProblemClassification:
 
 # Stacked dimension m*N up to which the extremes come from a dense
 # eigensolve. Measured crossover (tools/spectral_crossover.py; cycle, star,
-# complete and Erdos-Renyi graphs, m in {1, 3, 10}): from mN = 600 up,
-# Lanczos was faster on every family except cycles with m = 10. Those need
-# 400-450 steps, so they certify within the mN/2 cap only from about 820
-# and break even near 900. Keep it at 600 or more: the five-node examples,
-# the ex2 and criterion-7 systems (500) and a 200-node cycle with m = 3
-# then keep the bits of the dense solve.
+# complete and Erdos-Renyi graphs, m in {1, 3, 10}, one BLAS thread): from
+# mN = 600 up, Lanczos was faster on every family except cycles with
+# m = 10. Those need about 400 steps, so they certify within the mN/2 cap
+# only from about 810; at 900 Lanczos took 0.050 s against 0.076 s. Keep
+# it at 600 or more: the five-node examples, the ex2 and criterion-7
+# systems (500) and a 200-node cycle with m = 3 then keep the bits of the
+# dense solve.
 DENSE_MAX_DIM = 800
-# Cap on Lanczos steps, also at most m*N/2: past that the reorthogonalisation
-# alone costs about as much as the dense solve it falls back to.
+# Cap on Lanczos steps, also at most m*N/2. A run to that cap without a
+# certificate took 0.1 to 1.0 times as long as the dense solve it then
+# falls back to (cycles and ER(0.1), m in {3, 10}, mN from 900 to 3000).
 LANCZOS_MAX_ITER = 2000
+# Memory the dense fallback may take for Fd and its two summands, three
+# (mN)^2 float64 arrays: up to mN = 6688. At N = 10^4, m = 3 they would
+# take 21.6 GB.
+_DENSE_FALLBACK_BYTES = 2 ** 30
 
 
 def _dense_hd(p: LinearProblem) -> np.ndarray:
@@ -233,21 +239,30 @@ def stacked_extremes(p: LinearProblem, lap: LaplacianSummary) -> tuple:
     """(fd_min, fd_max): extreme eigenvalues of Fd = L kron I_m + Hd.
 
     Up to ``DENSE_MAX_DIM`` (m*N) they come from a dense eigensolve of Fd.
-    Above it they come from :func:`~quantnet.graph.lanczos_extremes` on the
+    Above it they come from :func:`~quantnet.graph.lanczos_extremes`,
+    Lanczos with partial reorthogonalisation (Simon, 1984), on the
     matrix-free product, which forms no (mN x mN) array; each value is
     certified to ``LANCZOS_TOL * fd_max``. Without a certificate after
     ``min(mN/2, LANCZOS_MAX_ITER)`` steps, the dense eigensolve runs
-    instead. The Lanczos start vector comes from a private fixed seed, so
-    no user seed (``cfg.seed``, ``noise.seed``) is drawn from.
+    instead, where its Fd and two summands fit a 1 GiB budget; above that
+    it raises RuntimeError. The Lanczos start vector comes from a private
+    fixed seed, so no user seed (``cfg.seed``, ``noise.seed``) is drawn
+    from.
     """
     if lap.graph.node_count != p.n_nodes:
         raise ValueError("graph size does not match the problem")
     dim = p.n_nodes * p.dim
     if dim > DENSE_MAX_DIM:
-        ext = lanczos_extremes(_stacked_product(p, lap), dim,
-                               max_iter=min(dim // 2, LANCZOS_MAX_ITER))
+        steps = min(dim // 2, LANCZOS_MAX_ITER)
+        ext = lanczos_extremes(_stacked_product(p, lap), dim, max_iter=steps)
         if ext is not None:
             return ext
+        need = 3 * 8 * dim * dim
+        if need > _DENSE_FALLBACK_BYTES:
+            raise RuntimeError(
+                f"Lanczos gave no certificate for mN = {dim} in {steps} "
+                f"steps, and the dense fallback would need {need} bytes for "
+                f"Fd and its two summands (budget {_DENSE_FALLBACK_BYTES})")
     return sym_eig_extremes(_dense_lm(lap, p.dim) + _dense_hd(p))
 
 

@@ -525,6 +525,15 @@ def test_cli_plan_and_alpha_star(tmp_path, capsys):
                          f"{alpha_star(100, sp):.17g}"]
 
 
+@pytest.mark.parametrize("eps", ["1e-12", "1e-7", "0.9999999999999998"])
+def test_cli_plan_exits_2_naming_eps_at_its_ends(capsys, eps):
+    assert main(["plan", "exact", "--K", "2", "--eps", eps,
+                 "--problem", "ex1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: eps = {float(eps)!r} is too" in captured.err
+
+
 def test_cli_alpha_star_on_erdos_renyi(capsys):
     # --p sets the edge probability and --seed the graph's seed, also
     # beside a named problem, whose node count the graph takes

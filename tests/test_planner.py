@@ -121,6 +121,19 @@ def test_plan_exact_self_consistent(ex1_setting):
         plan_exact(0, 0.5, sp)
 
 
+@pytest.mark.parametrize("eps,why", [(1e-12, "too small"),
+                                     (1e-7, "too small"),
+                                     (0.9999999999999998, "too close to 1")])
+def test_plan_exact_names_eps_where_float64_loses_the_slice(ex1_setting, eps,
+                                                            why):
+    # small eps: h* scales with eps, so alpha - rho_h = eps h fd_min is
+    # O(eps^2) and rounds away; eps near 1: alpha rounds to 1
+    _, _, _, _, sp = ex1_setting
+    with pytest.raises(ValueError, match=f"eps = {eps!r} is {why}"):
+        plan_exact(2, eps, sp)
+    assert plan_exact(2, 1e-6, sp).member
+
+
 def test_alpha_star_properties(ex1_setting):
     _, _, _, _, sp = ex1_setting
     a3 = alpha_star(3, sp)

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from quantnet import problem
+from quantnet import graph, problem
 from quantnet.graph import (Graph, LaplacianSummary, build_laplacian,
                             generate_graph, lanczos_extremes,
                             sym_eig_extremes)
@@ -174,10 +174,10 @@ def test_problem_text_errors():
         parse_problem("2 2\n1 0\n0 1\n")  # wrong row width
 
 
-def _above_dense_size(kind, m, p=None):
-    """A random system and a graph Laplacian with m*N just above
-    DENSE_MAX_DIM, L and the arcs assembled here with numpy."""
-    n = DENSE_MAX_DIM // m + 1
+def _above_dense_size(kind, m, p=None, dim=DENSE_MAX_DIM):
+    """A random system and a graph Laplacian with m*N just above ``dim``,
+    L and the arcs assembled here with numpy."""
+    n = dim // m + 1
     A = np.zeros((n, n))
     if kind == "cycle":
         A[np.arange(n), (np.arange(n) + 1) % n] = 1.0
@@ -234,12 +234,70 @@ def test_lanczos_without_certificate_falls_back_to_dense(ex1_setting,
     assert hi == pytest.approx(ops.fd_max, rel=1e-12)
 
 
+def test_no_dense_fallback_above_its_memory_budget(monkeypatch):
+    # mN = 6690: the dense Fd and its two summands would take 1.07 GB
+    prob, lap = _above_dense_size("cycle", 3, dim=6688)
+    monkeypatch.setattr(problem, "LANCZOS_MAX_ITER", 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match=r"mN = 6690 in 2 steps.* "
+                           r"1074146400 bytes"):
+            stacked_extremes(prob, lap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 23       # 8 MB: no (mN)^2 array was allocated
+
+
 def test_lanczos_extremes_repeated_eigenvalues():
     # two distinct eigenvalues: the Krylov space is invariant after 2 steps
     A = np.diag([1.0] * 20 + [4.0] * 30)
     assert lanczos_extremes(lambda v: A @ v, 50, max_iter=10) == (
         pytest.approx(1.0, rel=1e-14), pytest.approx(4.0, rel=1e-14))
     assert lanczos_extremes(lambda v: A @ v, 50, max_iter=1) is None
+
+
+def _fast_loss_operator(name):
+    """(apply, dim, max_iter, eigenvalues) of an operator on which the
+    Lanczos basis loses orthogonality fast: an isolated eigenvalue
+    converges in a few steps, and repeated ones leave the Krylov space
+    early. The m = 10 cycle just above DENSE_MAX_DIM needs about 400
+    steps."""
+    if name == "cycle_m10":
+        prob, lap = _above_dense_size("cycle", 10)
+        dim = prob.n_nodes * 10
+        return (problem._stacked_product(prob, lap), dim,
+                min(dim // 2, problem.LANCZOS_MAX_ITER),
+                np.linalg.eigvalsh(_loop_stacked(prob, lap)[1]))
+    if name == "isolated":      # far above a tight cluster
+        d = np.append(np.linspace(1.0, 1.1, 399), 1e3)
+    else:                       # 50 values six times each, and 1e3 once
+        d = np.append(np.repeat(np.linspace(1.0, 2.0, 50), 6), 1e3)
+    return (lambda v: d * v), len(d), len(d), d
+
+
+@pytest.mark.parametrize("name", ["isolated", "repeated", "cycle_m10"])
+def test_lanczos_extremes_where_orthogonality_is_lost_fast(name):
+    apply, dim, max_iter, vals = _fast_loss_operator(name)
+    ext = lanczos_extremes(apply, dim, max_iter)
+    assert ext is not None
+    scale = np.abs(vals).max()
+    assert abs(ext[0] - vals.min()) <= 1e-12 * scale
+    assert abs(ext[1] - vals.max()) <= 1e-12 * scale
+
+
+def test_lanczos_basis_stays_semi_orthogonal():
+    # N = 1000, m = 3, as perfbench's cycle1k: 402 steps, with Gram-Schmidt
+    # at about one step in five. Partial reorthogonalisation keeps every
+    # overlap at or below c sqrt(eps) with c = 1; measured c = 0.003.
+    n, m = 1000, 3
+    prob = random_problem(n, m, "exact", seed=2)
+    lap = build_laplacian(generate_graph("cycle", n))
+    ext, Q = graph._lanczos(problem._stacked_product(prob, lap), n * m,
+                            min(n * m // 2, problem.LANCZOS_MAX_ITER))
+    assert ext is not None and len(Q) > 300
+    overlap = np.abs(Q @ Q.T - np.eye(len(Q))).max()
+    assert overlap <= 1.0 * np.sqrt(np.finfo(float).eps)
 
 
 def _loop_stacked(p, lap):

@@ -3,7 +3,10 @@
 Prints one row per (m, mN) with Lanczos / dense seconds for each graph
 family, and the worst disagreement between the two, relative to fd_max.
 ``problem.DENSE_MAX_DIM`` is set from this table: above it Lanczos should
-win. Run from the repository root:
+win. A second table times Lanczos alone on cycles with m = 3 at N = 10^3
+and 10^4, with its steps to the certificate; it builds their Laplacian
+summaries without the dense L, which the matrix-free product of a cycle
+never reads. Run from the repository root:
 
     python tools/spectral_crossover.py
 
@@ -24,15 +27,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quantnet import problem  # noqa: E402
-from quantnet.graph import (build_laplacian, generate_graph,  # noqa: E402
-                            lanczos_extremes, sym_eig_extremes)
+from quantnet import graph, problem  # noqa: E402
+from quantnet.graph import (LaplacianSummary, build_laplacian,  # noqa: E402
+                            generate_graph, lanczos_extremes,
+                            sym_eig_extremes)
 from quantnet.harness import random_problem  # noqa: E402
 
 FAMILIES = (("cycle", None), ("star", None), ("complete", None),
             ("erdos_renyi", 0.1), ("erdos_renyi", 0.5))
 M_VALUES = (1, 3, 10)
 DIMS = (300, 600, 750, 800, 900, 1200, 1500)   # mN = m * (dim // m)
+LADDER_N = (1000, 10_000)                      # cycles, m = 3
 REPEATS = 2
 
 
@@ -49,6 +54,23 @@ def lanczos(p, lap):
     dim = p.n_nodes * p.dim
     return lanczos_extremes(problem._stacked_product(p, lap), dim,
                             max_iter=min(dim // 2, problem.LANCZOS_MAX_ITER))
+
+
+def ladder() -> None:
+    print("\n| N | mN | steps | seconds |\n|---|---|---|---|")
+    for n in LADDER_N:
+        p = random_problem(n, 3, "exact", seed=2)
+        lap = LaplacianSummary(L=None, lambda2=float("nan"),
+                               lambdaN=float("nan"),
+                               graph=generate_graph("cycle", n))
+        dim = 3 * n
+        t, (ext, basis) = best_of(lambda: graph._lanczos(
+            problem._stacked_product(p, lap), dim,
+            min(dim // 2, problem.LANCZOS_MAX_ITER)))
+        steps = len(basis) if ext is not None else f"{len(basis)}+"
+        print(f"| {n} | {dim} | {steps} | {t:.3f} |", flush=True)
+    print("\nLanczos alone on cycles with m = 3; + where it gave no "
+          "certificate.")
 
 
 def main() -> None:
@@ -80,6 +102,7 @@ def main() -> None:
           f"+ where it gave no certificate within min(mN/2, "
           f"{problem.LANCZOS_MAX_ITER}) steps. Worst disagreement: "
           f"{worst:.2g} of fd_max.")
+    ladder()
 
 
 if __name__ == "__main__":
